@@ -29,7 +29,7 @@ FUZZTIME ?= 10s
 # package rather than aggregate so an untested package cannot hide
 # behind a well-tested one.
 COVER_FLOOR ?= 70
-COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
+COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/dnn
 
 .PHONY: all check build test race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
@@ -43,8 +43,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark harness is its own module (perfbench/go.mod), so the
+# root ./... pattern skips it; vet it separately so an API it calls
+# cannot disappear unnoticed until the benchmark runs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # The race tier runs -short so the exploration-scale benchmarks and the
 # slowest campaigns stay out of the hot CI path; the campaign engine's
@@ -54,12 +58,12 @@ race: vet
 	$(GO) test -race ./internal/campaign/... ./internal/stats/...
 
 # The telemetry registry, the instrumented campaign engine, the replica
-# pool, the fleet lease protocol, and the parallel tensor kernels are
-# the most concurrency-sensitive pieces; they get a dedicated race pass
-# in tier 1 so a data race cannot land even when the full race tier is
-# skipped.
+# pool, the Forwarders that share one model across replicas, the fleet
+# lease protocol, and the parallel tensor kernels are the most
+# concurrency-sensitive pieces; they get a dedicated race pass in tier 1
+# so a data race cannot land even when the full race tier is skipped.
 race-fast:
-	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
+	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/dnn/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
 
 # The server's own end-to-end smoke: train, serve every endpoint on an
 # ephemeral port, scrape /metrics, drain.

@@ -15,7 +15,8 @@ package maxnvm
 //     through the dense path). The gap is the pure cost of modeling
 //     column-wise ADC quantization.
 //   - CrossbarTrialThroughput vs CrossbarTrialThroughputSerial: the
-//     replica-pool measurement vs the mutex-serialized oracle.
+//     replica-pool measurement vs the lock-free reference oracle
+//     (EvalTrialSerial: fresh Forwarder per trial, no fast path).
 //   - CrossbarScrubEpoch vs CrossbarProgram: one online tolerance epoch
 //     (detect -> remap -> degrade) vs programming alone; the difference
 //     is the scrub overhead per epoch (remaps/op makes the repair work
@@ -56,8 +57,8 @@ func BenchmarkCrossbarTrialThroughputDigital(b *testing.B) {
 	benchTrials(b, benchXbarConfig(0), ev.EvalTrial)
 }
 
-// BenchmarkCrossbarTrialThroughputSerial is the mutex-serialized oracle
-// for the analog row.
+// BenchmarkCrossbarTrialThroughputSerial is the reference oracle for
+// the analog row.
 func BenchmarkCrossbarTrialThroughputSerial(b *testing.B) {
 	ev := benchMeasured(b)
 	benchTrials(b, benchXbarConfig(8), ev.EvalTrialSerial)

@@ -109,9 +109,10 @@ func BenchmarkCampaignTrialThroughput(b *testing.B) {
 	benchTrials(b, benchFig5Config(), ev.EvalTrial)
 }
 
-// BenchmarkCampaignTrialThroughputSerial is the pre-replica baseline:
-// the same concurrent callers, but every measurement funnels through the
-// mutex-serialized shared model and allocates a fresh forward pass.
+// BenchmarkCampaignTrialThroughputSerial is the reference-oracle row:
+// the same concurrent callers, but every trial takes the lock-free
+// oracle (EvalTrialSerial) — no fast path, fresh dense weights and a
+// fresh default-Workers forward pass per trial.
 func BenchmarkCampaignTrialThroughputSerial(b *testing.B) {
 	ev := benchMeasured(b)
 	benchTrials(b, benchFig5Config(), ev.EvalTrialSerial)
@@ -125,8 +126,8 @@ func BenchmarkCorruptedTrialThroughput(b *testing.B) {
 	benchTrials(b, benchDenseFaultConfig(), ev.EvalTrial)
 }
 
-// BenchmarkCorruptedTrialThroughputSerial is the locked baseline for the
-// worst case.
+// BenchmarkCorruptedTrialThroughputSerial is the reference-oracle row
+// for the worst case.
 func BenchmarkCorruptedTrialThroughputSerial(b *testing.B) {
 	ev := benchMeasured(b)
 	benchTrials(b, benchDenseFaultConfig(), ev.EvalTrialSerial)
@@ -185,7 +186,9 @@ func BenchmarkForwardAllocFree24(b *testing.B) {
 	ds := train.Synthesize(train.SynthConfig{N: 100, Seed: 1})
 	m := dnn.TinyCNN()
 	m.InitWeights(1)
-	for _, l := range m.Layers {
+	f := dnn.NewForwarder(m)
+	f.Workers = 1
+	for li, l := range m.Layers {
 		if !l.HasWeights() {
 			continue
 		}
@@ -228,10 +231,8 @@ func BenchmarkForwardAllocFree24(b *testing.B) {
 				}
 			}
 		}
-		l.Weights24 = s
+		f.Ops[li] = s
 	}
-	f := dnn.NewForwarder(m)
-	f.Workers = 1
 	f.Forward(ds.Images)
 	if n := testing.AllocsPerRun(10, func() { f.Forward(ds.Images) }); n != 0 {
 		b.Fatalf("2:4 steady-state forward pass allocates %v allocs/op, want 0", n)

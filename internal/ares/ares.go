@@ -67,7 +67,7 @@ type Config struct {
 	// through the decoder.
 	Degrade bool
 	// Crossbar, when non-nil, routes trials through the compute-in-memory
-	// fault model (EvalTrialCrossbar): weights live as differential
+	// fault model (see xbar.go): weights live as differential
 	// conductance pairs on Tech's crossbar tiles and the device faults
 	// perturb the analog matrix-vector product itself. The storage-path
 	// knobs (Encoding, policies, ECC) are ignored on this route.
@@ -230,32 +230,38 @@ type TrialStats struct {
 	DegradedBlocks int
 }
 
-// RunTrial clones a pristine encoding, injects faults per cfg into every
-// structure, applies ECC correction where configured, decodes, and
-// compares against the original indices. It panics on an invalid config
-// or mismatched inputs; campaign-facing callers should use
-// RunTrialChecked instead.
-func RunTrial(enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) TrialStats {
-	st, _ := RunTrialDecoded(enc, orig, centroids, cfg, seed)
-	return st
+// addLayer folds one weight layer's statistics into a trial aggregate:
+// counts add up, and the fractions accumulate weighted by the layer's
+// weight count n (finish divides by the model total). Every trial route
+// and the lifetime epochs aggregate through it.
+func (a *TrialStats) addLayer(st TrialStats, n int) {
+	a.Faults += st.Faults
+	a.Corrected += st.Corrected
+	a.Detected += st.Detected
+	a.DegradedBlocks += st.DegradedBlocks
+	w := float64(n)
+	a.StructFrac += st.StructFrac * w
+	a.Mismatch += st.Mismatch * w
+	a.ValueNSR += st.ValueNSR * w
 }
 
-// RunTrialDecoded is RunTrial but also returns the decoded index matrix,
-// so callers (the measured evaluator) can run real inference on the
-// corrupted weights.
-func RunTrialDecoded(enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) (TrialStats, []uint8) {
-	st, decoded, err := RunTrialChecked(context.Background(), enc, orig, centroids, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return st, decoded
+// finish turns the weighted fraction sums into model-level fractions
+// over total weights.
+func (a *TrialStats) finish(total int) {
+	t := float64(total)
+	a.StructFrac /= t
+	a.Mismatch /= t
+	a.ValueNSR /= t
 }
 
-// RunTrialChecked is the error-returning, cancellable form of
-// RunTrialDecoded: an invalid configuration or inconsistent inputs are
-// reported as an error instead of a panic, so a campaign engine can fail
-// one trial (or reject one config) without taking down the run, and a
-// cancelled context aborts between streams.
+// RunTrialChecked runs one layer's stored-bit trial: it clones a
+// pristine encoding, injects faults per cfg into every structure,
+// applies ECC correction where configured, decodes, and compares against
+// the original indices, returning the corruption statistics and the
+// decoded index matrix. An invalid configuration or inconsistent inputs
+// are reported as an error, so a campaign engine can fail one trial (or
+// reject one config) without taking down the run, and a cancelled
+// context aborts between streams.
 func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) (TrialStats, []uint8, error) {
 	var st TrialStats
 	if err := cfg.Validate(); err != nil {
@@ -281,7 +287,7 @@ func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, cen
 // injectStreams injects faults per cfg into every stream of the (cloned,
 // caller-owned) encoding, applying ECC correction where configured. It
 // is the one fault-injection loop shared by the decode-to-dense path
-// (RunTrialChecked) and the compute-direct 2:4 path (corruptTrial24):
+// (RunTrialChecked) and the compute-direct 2:4 path (corrupt24):
 // the per-stream fork order src.Fork(i+1) from stats.NewSource(seed) is
 // the seed contract, so both paths draw identical fault maps for the
 // same (cfg, seed).

@@ -1,15 +1,14 @@
 package ares
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"time"
 
-	"repro/internal/dnn"
 	"repro/internal/sparse"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // The compute-direct 2:4 trial route.
@@ -20,8 +19,8 @@ import (
 // corrupted streams canonicalize straight into the compact
 // (value, position) form the tensor.Sparse24 kernels consume — half the
 // MACs, no dense materialization anywhere on the hot path. The
-// decode-to-dense route is kept (EvalTrialSerial, EvalConfig,
-// MeasureDecoded) as the bit-parity reference oracle; the grid test in
+// decode-to-dense route (corruptStorage) is kept as the bit-parity
+// reference oracle behind EvalTrialSerial; the grid test in
 // evaltrial24_test.go pins the two routes identical.
 //
 // Because the 2-of-4 projection is lossy, the 2:4 baseline is the
@@ -47,9 +46,9 @@ type twofourState struct {
 	// compVals/compPos hold the pristine canonical compact form; the
 	// fast path is a bytes.Equal against these.
 	compVals, compPos [][]uint8
-	// pristine24 holds the shared compute-direct weights for layers a
-	// trial did not corrupt (replicas point at them read-only).
-	pristine24 []*tensor.Sparse24
+	// pristine24 holds the shared compute-direct weights (*Sparse24) for
+	// layers a trial did not corrupt (replicas overlay them read-only).
+	pristine24 []tensor.Operand
 	// baselineErr is the fault-free error of the projected model,
 	// measured once through the compute-direct kernels.
 	baselineErr float64
@@ -64,7 +63,7 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 		tf.orig24 = make([][]uint8, n)
 		tf.compVals = make([][]uint8, n)
 		tf.compPos = make([][]uint8, n)
-		tf.pristine24 = make([]*tensor.Sparse24, n)
+		tf.pristine24 = make([]tensor.Operand, n)
 		for i, cl := range ev.clustered {
 			enc, err := sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)
 			if err != nil {
@@ -84,16 +83,7 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 			copy(s24.Pos, tf.compPos[i])
 			tf.pristine24[i] = s24
 		}
-		// Projected-model baseline, measured through the same kernels the
-		// trials use. One-shot forwarder: replicas are not yet involved.
-		m := ev.Model.CloneShared()
-		for o, li := range ev.layerIdx {
-			m.Layers[li].Weights = ev.snap[li]
-			m.Layers[li].Weights24 = tf.pristine24[o]
-		}
-		fw := dnn.NewForwarder(m)
-		fw.Workers = 1
-		tf.baselineErr = train.ErrorWith(fw, ev.Test)
+		tf.baselineErr = ev.baselineWith(tf.pristine24)
 	})
 	return tf, tf.err
 }
@@ -179,97 +169,36 @@ func fillCorruption24(st *TrialStats, orig, vals, pos []uint8, centroids []float
 	}
 }
 
-// corruptTrial24 is corruptTrial for the compute-direct route: same
-// per-layer seed derivation (tsrc.Uint64() in layer order from
-// stats.NewSource(seed)), same weight-count-weighted aggregation, but
-// the per-layer outputs are canonical compact forms instead of decoded
-// dense matrices.
-func (ev *MeasuredEvaluator) corruptTrial24(ctx context.Context, cfg Config, seed uint64) ([][]uint8, [][]uint8, TrialStats, error) {
-	var agg TrialStats
+// corrupt24 is the compute-direct route step: same per-layer seed
+// derivation as corruptStorage (tsrc.Uint64() in layer order from
+// stats.NewSource(seed)) and the same aggregation, but each corrupted
+// layer's payload is its canonical compact form instead of a decoded
+// dense matrix, and clean layers overlay the shared pristine compact.
+// Canonicalization makes compact equality equivalent to decoded-matrix
+// equality, so the fast path compares compact forms.
+func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, seed uint64) (trial, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, agg, err
+		return trial{}, err
 	}
 	tf, err := ev.twofour()
 	if err != nil {
-		return nil, nil, agg, err
+		return trial{}, err
 	}
+	t := ev.newTrial(tf.baselineErr)
 	tsrc := stats.NewSource(seed)
-	vals := make([][]uint8, len(ev.clustered))
-	pos := make([][]uint8, len(ev.clustered))
 	for i, cl := range ev.clustered {
-		st, cv, cp, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
+		st, vals, pos, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
 		if err != nil {
-			return nil, nil, agg, err
+			return t, err
 		}
-		vals[i], pos[i] = cv, cp
-		agg.Faults += st.Faults
-		agg.Corrected += st.Corrected
-		agg.Detected += st.Detected
-		w := float64(len(cl.Indices))
-		agg.StructFrac += st.StructFrac * w
-		agg.Mismatch += st.Mismatch * w
-		agg.ValueNSR += st.ValueNSR * w
-	}
-	total := float64(ev.totalWeights())
-	agg.StructFrac /= total
-	agg.Mismatch /= total
-	agg.ValueNSR /= total
-	if err := ctx.Err(); err != nil {
-		return nil, nil, agg, err
-	}
-	return vals, pos, agg, nil
-}
-
-// evalTrial24 is EvalTrial's compute-direct route: corrupted compact
-// streams go straight into the sparse kernels on a checked-out replica.
-func (ev *MeasuredEvaluator) evalTrial24(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	vals, pos, agg, err := ev.corruptTrial24(ctx, cfg, seed)
-	if err != nil {
-		return 0, agg, err
-	}
-	delta, err := ev.measureCompact24(vals, pos)
-	return delta, agg, err
-}
-
-// measureCompact24 is measureDecoded's compute-direct twin: the fast
-// path compares compact forms (canonicalization makes compact equality
-// equivalent to decoded-matrix equality), and a miss runs the replica's
-// Forwarder with every weight layer on the 2:4 kernels — shared
-// pristine compacts for clean layers, private corrupted buffers for the
-// rest. The delta is measured against the projected-model baseline.
-func (ev *MeasuredEvaluator) measureCompact24(vals, pos [][]uint8) (float64, error) {
-	tf, err := ev.twofour()
-	if err != nil {
-		return 0, err
-	}
-	pristine := true
-	for i := range ev.clustered {
-		if !bytes24Equal(vals[i], pos[i], tf.compVals[i], tf.compPos[i]) {
-			pristine = false
-			break
-		}
-	}
-	if pristine {
-		met.fastHits.Inc()
-		return 0, nil
-	}
-	met.fastMisses.Inc()
-	waitStart := time.Now()
-	r := ev.checkout()
-	defer ev.checkin(r)
-	evalStart := time.Now()
-	for i := range ev.clustered {
-		if bytes24Equal(vals[i], pos[i], tf.compVals[i], tf.compPos[i]) {
-			r.apply24Shared(ev, i, tf.pristine24[i])
+		t.stats.addLayer(st, len(cl.Indices))
+		if bytes.Equal(vals, tf.compVals[i]) && bytes.Equal(pos, tf.compPos[i]) {
+			t.layers[i].op = tf.pristine24[i]
 		} else {
-			r.apply24(ev, i, vals[i], pos[i])
+			t.layers[i].vals, t.layers[i].pos = vals, pos
+			t.pristine = false
 		}
 	}
-	delta := train.ErrorWith(r.fw, ev.Test) - tf.baselineErr
-	met.evalDirect.Since(evalStart)
-	met.evalParallel.Since(waitStart)
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, nil
+	t.stats.finish(ev.totalWeights())
+	return t, ctx.Err()
 }

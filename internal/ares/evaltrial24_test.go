@@ -4,7 +4,7 @@ package ares
 // (corrupted compact streams straight into the tensor.Sparse24 kernels
 // on a pooled replica) must return exactly the same delta and trial
 // statistics as EvalTrialSerial (decode-to-dense oracle through the
-// dense kernels on the shared model) for every Kind24 config — pristine
+// dense kernels on fresh weights) for every Kind24 config — pristine
 // and faulted, values and metadata streams, with and without ECC,
 // serial and under replica-pool contention, on more than one zoo model.
 
@@ -68,12 +68,13 @@ func TestEvalTrial24PristineBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Baseline 0 makes measureDecodedSerial return the absolute error:
-	// no clamp can hide a kernel divergence.
-	abs, err := ev.measureDecodedSerial(tf.orig24, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Baseline 0 makes the oracle return the absolute error: no clamp
+	// can hide a kernel divergence.
+	proj := ev.newTrial(0)
+	for i := range ev.clustered {
+		proj.layers[i].idx = tf.orig24[i]
 	}
+	abs := ev.measureSerial(proj)
 	if abs != tf.baselineErr {
 		t.Errorf("dense-kernel projected error %v != 2:4-kernel baseline %v", abs, tf.baselineErr)
 	}

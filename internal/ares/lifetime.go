@@ -224,8 +224,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 			driftAge = age - prevAge
 		}
 		esrc := src.Fork(uint64(e) + 1)
-		var agg TrialStats
-		decoded := make([][]uint8, len(ev.clustered))
+		t := ev.newTrial(baseline)
 		for li, cl := range ev.clustered {
 			if err := ctx.Err(); err != nil {
 				return res, err
@@ -247,31 +246,16 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 				return res, fmt.Errorf("ares: layer %d: %d decoded vs %d original indices", li, len(dec), len(cl.Indices))
 			}
 			fillCorruption(&st, refs[li], dec, cl.Centroids)
-			decoded[li] = dec
-
-			agg.Faults += st.Faults
-			agg.Corrected += st.Corrected
-			agg.Detected += st.Detected
-			agg.DegradedBlocks += st.DegradedBlocks
-			w := float64(len(cl.Indices))
-			agg.StructFrac += st.StructFrac * w
-			agg.Mismatch += st.Mismatch * w
-			agg.ValueNSR += st.ValueNSR * w
+			t.addDecoded(li, st, dec, refs[li])
 		}
-		total := float64(ev.totalWeights())
-		agg.StructFrac /= total
-		agg.Mismatch /= total
-		agg.ValueNSR /= total
+		t.stats.finish(ev.totalWeights())
 
-		delta, err := ev.measureDecoded(decoded, refs, baseline)
-		if err != nil {
-			return res, err
-		}
+		delta := ev.measure(t)
 		es := EpochStats{
 			Epoch:           e,
 			AgeYears:        age,
 			SinceScrubYears: driftAge,
-			Stats:           agg,
+			Stats:           t.stats,
 			DeltaErr:        delta,
 		}
 		if lp.FloorDelta > 0 && delta > lp.FloorDelta {

@@ -1,6 +1,7 @@
 package ares
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -17,7 +18,15 @@ import (
 // MeasuredEvaluator runs *real inference* on a trained model with
 // fault-injected weights — the ground-truth accuracy path used for the
 // small models (Figure 5 reproduction) and for calibrating the surrogate.
+//
+// Every trial runs one pipeline: a route step (stored-bit, compute-direct
+// 2:4, or crossbar) turns (cfg, seed) into a trial — corruption
+// statistics, a pristine flag, and a per-layer weight-operand overlay —
+// and one measure step runs that overlay on a pooled replica. Model is
+// only read after construction, so any number of trials share it.
 type MeasuredEvaluator struct {
+	// Model runs on the clustered weights; it is read-only after
+	// NewMeasuredEvaluator.
 	Model *dnn.Model
 	Test  *train.Dataset
 	// BaselineErr is the fault-free classification error of the clustered
@@ -34,16 +43,6 @@ type MeasuredEvaluator struct {
 	// tf is the lazily-built compute-direct 2:4 state (see direct24.go).
 	tf twofourState
 
-	// snap is the pristine clustered weight snapshot taken at
-	// construction, restored after every inference.
-	snap map[int]*tensor.Matrix
-
-	// mu serializes the legacy MeasureDecoded path: it mutates the
-	// shared model's weight matrices in place, so only one caller may
-	// occupy the model at a time. The campaign hot path (EvalTrial,
-	// LifetimeTrial) instead measures on a checked-out replica (see
-	// replica.go) and never takes this lock.
-	mu sync.Mutex
 	// replicas holds idle inference replicas; replicaSem bounds lazy
 	// replica creation to the pool capacity (see initReplicaPool).
 	replicas   chan *replica
@@ -60,7 +59,8 @@ type MeasuredEvaluator struct {
 // NewMeasuredEvaluator prunes and clusters the trained model's weights
 // (per its Meta), applies the clustered weights to the model (the
 // iso-accuracy baseline includes quantization), and measures the
-// fault-free baseline error.
+// fault-free baseline error. The evaluator keeps m and only reads it
+// from then on; the caller must not modify it either.
 func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*MeasuredEvaluator, error) {
 	if !m.Materialized() {
 		return nil, fmt.Errorf("ares: model %q not materialized", m.Name)
@@ -78,7 +78,6 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 		ev.origIdx = append(ev.origIdx, cl.Indices)
 	}
 	ev.BaselineErr = train.Error(m, test)
-	ev.snap = m.CloneWeights()
 	ev.encCache = make(map[string][]sparse.Encoding)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
@@ -117,60 +116,26 @@ type MeasuredResult struct {
 	Stats []TrialStats
 }
 
-// EvalConfig runs `trials` independent fault maps under cfg and measures
-// the true classification error of each corrupted model.
+// EvalConfig runs `trials` independent fault maps under cfg, one
+// EvalTrial each, and measures the true classification error of each
+// corrupted model. Trial t runs at seed stats.NewSource(seed).ForkSeed(t+1)
+// (forks drawn in trial order). It panics on an invalid configuration.
 func (ev *MeasuredEvaluator) EvalConfig(cfg Config, trials int, seed uint64) MeasuredResult {
 	if trials < 1 {
 		panic("ares: trials < 1")
 	}
-	// Pre-encode each layer once; trials clone.
-	encs := make([]sparse.Encoding, len(ev.clustered))
-	for i, cl := range ev.clustered {
-		encs[i] = sparse.Must(EncodeLayer(cl, cfg))
-	}
-	refs, baseline, err := ev.refFor(cfg)
-	if err != nil {
-		panic(err)
-	}
-	snap := ev.Model.CloneWeights()
-	defer ev.Model.RestoreWeights(snap)
-
 	src := stats.NewSource(seed)
 	var res MeasuredResult
 	for t := 0; t < trials; t++ {
-		tsrc := src.Fork(uint64(t) + 1)
-		var agg TrialStats
-		for i, cl := range ev.clustered {
-			st, decoded := RunTrialDecoded(encs[i], refs[i], cl.Centroids, cfg, tsrc.Uint64())
-			agg.Faults += st.Faults
-			agg.Corrected += st.Corrected
-			agg.Detected += st.Detected
-			// Weight-count-weighted averages.
-			w := float64(len(cl.Indices))
-			agg.StructFrac += st.StructFrac * w
-			agg.Mismatch += st.Mismatch * w
-			agg.ValueNSR += st.ValueNSR * w
-			// Apply corrupted weights to the live model.
-			layer := ev.Model.Layers[ev.layerIdx[i]]
-			for j, idx := range decoded {
-				layer.Weights.Data[j] = cl.Centroids[idx]
-			}
+		delta, st, err := ev.EvalTrial(context.Background(), cfg, src.ForkSeed(uint64(t)+1))
+		if err != nil {
+			panic(err)
 		}
-		total := float64(ev.totalWeights())
-		agg.StructFrac /= total
-		agg.Mismatch /= total
-		agg.ValueNSR /= total
-		res.Stats = append(res.Stats, agg)
-
-		delta := train.Error(ev.Model, ev.Test) - baseline
-		if delta < 0 {
-			delta = 0
-		}
+		res.Stats = append(res.Stats, st)
 		res.MeanDeltaErr += delta
 		if delta > res.MaxDeltaErr {
 			res.MaxDeltaErr = delta
 		}
-		ev.Model.RestoreWeights(snap)
 	}
 	res.MeanDeltaErr /= float64(trials)
 	return res
@@ -202,58 +167,98 @@ func (ev *MeasuredEvaluator) encodings(cfg Config) ([]sparse.Encoding, error) {
 	return encs, nil
 }
 
-// corruptTrial runs the encode -> inject -> decode stages of one trial
-// and returns the per-layer decoded cluster indices plus the aggregated
-// corruption statistics. The per-layer injection seeds are drawn from
+// trial is one corrupted trial ready to measure: the output of a route
+// step (corruptStorage, corrupt24, corruptXbar) and the input of both
+// measure and the reference oracle.
+type trial struct {
+	stats TrialStats
+	// pristine marks a trial whose weights equal the route's reference
+	// exactly: measuring it would reproduce baseline, so its delta is 0
+	// by construction and measure skips inference (the fast path).
+	pristine bool
+	// layers holds one overlay payload per weight layer.
+	layers []layerOp
+	// baseline is the fault-free error the delta is measured against.
+	baseline float64
+}
+
+// layerOp is one weight layer's overlay payload; at most one form is
+// set (none for a layer that runs on the model's own weights):
+//
+//   - idx: decoded cluster indices (stored-bit route). A replica maps
+//     them through the centroids into its private dense buffer unless
+//     they equal the clustered indices the model already holds.
+//   - vals, pos: a corrupted canonical 2:4 compact form, filled into
+//     the replica's private Sparse24 buffer.
+//   - op: a ready operand used as is (the shared pristine 2:4 compact,
+//     crossbar effective weights).
+type layerOp struct {
+	idx, vals, pos []uint8
+	op             tensor.Operand
+}
+
+func (ev *MeasuredEvaluator) newTrial(baseline float64) trial {
+	return trial{pristine: true, layers: make([]layerOp, len(ev.clustered)), baseline: baseline}
+}
+
+// addDecoded records weight layer i's decoded indices and corruption
+// statistics against its reference indices.
+func (t *trial) addDecoded(i int, st TrialStats, decoded, ref []uint8) {
+	t.stats.addLayer(st, len(ref))
+	t.layers[i].idx = decoded
+	t.pristine = t.pristine && bytes.Equal(decoded, ref)
+}
+
+// corrupt runs cfg's route step: crossbar compute-in-memory, the
+// compute-direct 2:4 route for Kind24, or the stored-bit route.
+func (ev *MeasuredEvaluator) corrupt(ctx context.Context, cfg Config, seed uint64) (trial, error) {
+	switch {
+	case cfg.Crossbar != nil:
+		return ev.corruptXbar(ctx, cfg, seed)
+	case cfg.Encoding == sparse.Kind24:
+		return ev.corrupt24(ctx, cfg, seed)
+	}
+	return ev.corruptStorage(ctx, cfg, seed)
+}
+
+// corruptStorage is the stored-bit route step: encode -> inject ->
+// decode per layer. The per-layer injection seeds are drawn from
 // stats.NewSource(seed), so the decoded indices are a pure function of
-// (cfg, seed) regardless of worker interleaving.
-func (ev *MeasuredEvaluator) corruptTrial(ctx context.Context, cfg Config, seed uint64) ([][]uint8, TrialStats, error) {
-	var agg TrialStats
+// (cfg, seed) regardless of worker interleaving. Kind24 decodes to dense
+// here too, which makes this the 2:4 route's decode-to-dense oracle.
+func (ev *MeasuredEvaluator) corruptStorage(ctx context.Context, cfg Config, seed uint64) (trial, error) {
 	encs, err := ev.encodings(cfg)
 	if err != nil {
-		return nil, agg, err
+		return trial{}, err
 	}
-	refs, _, err := ev.refFor(cfg)
+	refs, baseline, err := ev.refFor(cfg)
 	if err != nil {
-		return nil, agg, err
+		return trial{}, err
 	}
+	t := ev.newTrial(baseline)
 	tsrc := stats.NewSource(seed)
-	decodedLayers := make([][]uint8, len(ev.clustered))
 	for i, cl := range ev.clustered {
 		st, decoded, err := RunTrialChecked(ctx, encs[i], refs[i], cl.Centroids, cfg, tsrc.Uint64())
 		if err != nil {
-			return nil, agg, err
+			return t, err
 		}
-		decodedLayers[i] = decoded
-		agg.Faults += st.Faults
-		agg.Corrected += st.Corrected
-		agg.Detected += st.Detected
-		w := float64(len(cl.Indices))
-		agg.StructFrac += st.StructFrac * w
-		agg.Mismatch += st.Mismatch * w
-		agg.ValueNSR += st.ValueNSR * w
+		t.addDecoded(i, st, decoded, refs[i])
 	}
-	total := float64(ev.totalWeights())
-	agg.StructFrac /= total
-	agg.Mismatch /= total
-	agg.ValueNSR /= total
-	if err := ctx.Err(); err != nil {
-		return nil, agg, err
-	}
-	return decodedLayers, agg, nil
+	t.stats.finish(ev.totalWeights())
+	return t, ctx.Err()
 }
 
-// CorruptTrial runs only the encode -> inject -> decode stages of one
-// trial — no inference — and returns the aggregated corruption
-// statistics. It serves callers that want the storage-level damage
-// picture (fault counts, mismatch, value NSR) without paying for a
-// measurement: the inject endpoint of the evaluation server, and any
-// probe that triages configurations before spending inference on them.
-// Same purity contract as EvalTrial: the outcome is a pure function of
+// CorruptTrial runs only the corruption stages of one trial — no
+// inference — and returns the aggregated corruption statistics. It
+// serves callers that want the storage-level damage picture (fault
+// counts, mismatch, value NSR) without paying for a measurement: the
+// inject endpoint of the evaluation server, and any probe that triages
+// configurations before spending inference on them. Same route and
+// purity contract as EvalTrial: the outcome is a pure function of
 // (cfg, seed).
 func (ev *MeasuredEvaluator) CorruptTrial(ctx context.Context, cfg Config, seed uint64) (TrialStats, error) {
-	_, agg, err := ev.corruptTrial(ctx, cfg, seed)
-	return agg, err
+	t, err := ev.corrupt(ctx, cfg, seed)
+	return t.stats, err
 }
 
 // EvalTrial runs ONE fault-injection trial under cfg with the given
@@ -262,92 +267,80 @@ func (ev *MeasuredEvaluator) CorruptTrial(ctx context.Context, cfg Config, seed 
 //
 // It is the campaign-engine entry point: errors are returned rather than
 // panicking, a cancelled context aborts between layers, and concurrent
-// calls are safe AND parallel end to end — encode/inject/decode share
-// nothing, and measurement runs on a checked-out model replica rather
-// than a lock around the shared model, so up to GOMAXPROCS trials run
-// inference simultaneously. Seeding contract: the per-layer injection
-// seeds are drawn from stats.NewSource(seed), so the trial outcome is a
-// pure function of (cfg, seed) regardless of worker interleaving or
-// which replica serves the measurement (see replica.go for the
-// argument).
+// calls are safe AND parallel end to end — the route steps share
+// nothing mutable, and measurement runs on a checked-out replica over
+// the read-only model, so up to GOMAXPROCS trials run inference
+// simultaneously. Seeding contract: the per-layer seeds are drawn from
+// stats.NewSource(seed), so the trial outcome is a pure function of
+// (cfg, seed) regardless of worker interleaving or which replica serves
+// the measurement (see replica.go for the argument).
 //
-// Kind24 configs take the compute-direct route (direct24.go): the
-// corrupted compressed streams go straight into the 2:4 sparse kernels
-// with no dense materialization anywhere on the hot path.
+// The route follows cfg: crossbar configs run the compute-in-memory
+// fault model (xbar.go), Kind24 configs the compute-direct 2:4 route
+// (direct24.go) with no dense materialization on the hot path, and
+// every other config the stored-bit decode-to-dense route.
 func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	if cfg.Crossbar != nil {
-		return ev.EvalTrialCrossbar(ctx, cfg, seed)
-	}
-	if cfg.Encoding == sparse.Kind24 {
-		return ev.evalTrial24(ctx, cfg, seed)
-	}
-	decodedLayers, agg, err := ev.corruptTrial(ctx, cfg, seed)
+	t, err := ev.corrupt(ctx, cfg, seed)
 	if err != nil {
-		return 0, agg, err
+		return 0, t.stats, err
 	}
-	refs, baseline, err := ev.refFor(cfg)
-	if err != nil {
-		return 0, agg, err
-	}
-	delta, err := ev.measureDecoded(decodedLayers, refs, baseline)
-	return delta, agg, err
+	return ev.measure(t), t.stats, nil
 }
 
-// EvalTrialSerial is EvalTrial measured through the legacy serialized
-// MeasureDecoded path (mutate the one shared model under a mutex). It
-// exists as the reference implementation: the replica path is pinned
-// bit-identical to it by test, and the benchmark suite compares the two
-// to track the parallel speedup. For Kind24 it is the decode-to-dense
-// oracle: the corrupted streams decode to a dense index matrix and run
-// the dense kernels, pinning the compute-direct route by bit parity.
+// EvalTrialSerial is EvalTrial measured by the reference oracle, an
+// implementation kept independent of the path it checks: no fast path,
+// no replica pool or private buffers, no 2:4 kernels. Each call maps
+// the decoded indices into fresh dense matrices (Kind24 included: the
+// decode-to-dense oracle) or takes the trial's crossbar operands, and
+// runs them on a fresh default-Workers Forwarder. The replica route is
+// pinned bit-identical to it by test, and the benchmark suite compares
+// the two.
 func (ev *MeasuredEvaluator) EvalTrialSerial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
+	corrupt := ev.corruptStorage
 	if cfg.Crossbar != nil {
-		return ev.evalTrialXbarSerial(ctx, cfg, seed)
+		corrupt = ev.corruptXbar
 	}
-	decodedLayers, agg, err := ev.corruptTrial(ctx, cfg, seed)
+	t, err := corrupt(ctx, cfg, seed)
 	if err != nil {
-		return 0, agg, err
+		return 0, t.stats, err
 	}
-	_, baseline, err := ev.refFor(cfg)
-	if err != nil {
-		return 0, agg, err
-	}
-	delta, err := ev.measureDecodedSerial(decodedLayers, baseline)
-	return delta, agg, err
+	return ev.measureSerial(t), t.stats, nil
 }
 
-// MeasureDecoded applies per-layer decoded cluster indices to the live
-// model, measures the classification-error delta against the baseline
-// (clamped at 0), and restores the pristine weights. Concurrent calls
-// are serialized on the model; it is kept as the reference measurement
-// path (see EvalTrialSerial) while the campaign hot path uses the
-// replica-pool measureDecoded in replica.go.
-func (ev *MeasuredEvaluator) MeasureDecoded(decodedLayers [][]uint8) (float64, error) {
-	return ev.measureDecodedSerial(decodedLayers, ev.BaselineErr)
-}
-
-// measureDecodedSerial is MeasureDecoded against an arbitrary baseline
-// (the projected-model baseline on the Kind24 oracle route).
-func (ev *MeasuredEvaluator) measureDecodedSerial(decodedLayers [][]uint8, baseline float64) (float64, error) {
-	if err := ev.checkDecoded(decodedLayers); err != nil {
-		return 0, err
-	}
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	evalStart := time.Now()
-	for i, cl := range ev.clustered {
-		layer := ev.Model.Layers[ev.layerIdx[i]]
-		for j, idx := range decodedLayers[i] {
-			layer.Weights.Data[j] = cl.Centroids[idx]
+// measureSerial is the oracle's measurement of a trial (see
+// EvalTrialSerial).
+func (ev *MeasuredEvaluator) measureSerial(t trial) float64 {
+	start := time.Now()
+	fw := dnn.NewForwarder(ev.Model)
+	for i, p := range t.layers {
+		op := p.op
+		if op == nil {
+			cl := ev.clustered[i]
+			w := tensor.NewMatrix(cl.Rows, cl.Cols)
+			centroidsInto(w.Data, p.idx, cl.Centroids)
+			op = w
 		}
+		fw.Ops[ev.layerIdx[i]] = op
 	}
-	delta := train.Error(ev.Model, ev.Test) - baseline
-	ev.Model.RestoreWeights(ev.snap)
-	met.eval.Since(evalStart)
-	if delta < 0 {
-		delta = 0
+	delta := train.ErrorWith(fw, ev.Test) - t.baseline
+	met.eval.Since(start)
+	return clampDelta(delta)
+}
+
+// centroidsInto maps cluster indices through the centroid table.
+func centroidsInto(dst []float32, idx []uint8, centroids []float32) {
+	for j, v := range idx {
+		dst[j] = centroids[v]
 	}
-	return delta, nil
+}
+
+// clampDelta clamps an error delta at 0: a corrupted model scoring
+// above the baseline is sampling noise, not a repair.
+func clampDelta(d float64) float64 {
+	if d < 0 {
+		return 0
+	}
+	return d
 }
 
 func (ev *MeasuredEvaluator) totalWeights() int {

@@ -11,18 +11,17 @@ package ares
 //	ares.phase.encode    time spent building pristine encodings (ns)
 //	ares.phase.inject    time in clone+inject+ECC per trial (ns)
 //	ares.phase.decode    time decoding corrupted structures (ns)
-//	ares.phase.eval      time in apply-weights + inference (ns)
+//	ares.phase.eval      time in overlay-weights + inference, every route
+//	                     (replica pool and reference oracle) (ns)
 //	ares.enccache.hits   encoding-cache hits
 //	ares.enccache.misses encoding-cache misses (encodes performed)
 //
-// Replica-pool measurement (the parallel inference tail, replica.go):
+// Replica-pool measurement (the one measure step, replica.go):
 //
-//	ares.eval.parallel   wall time of measureDecoded incl. replica wait (ns)
-//	ares.eval.direct     wall time of compute-direct 2:4 measurement —
-//	                     compressed streams straight into the sparse
-//	                     kernels, no dense decode (ns)
-//	ares.fastpath.hits   trials whose decoded indices matched pristine
-//	                     exactly (inference skipped, delta 0 by construction)
+//	ares.eval.parallel   wall time of a measurement incl. replica wait (ns)
+//	ares.fastpath.hits   trials whose weights matched the route's pristine
+//	                     reference exactly (inference skipped, delta 0 by
+//	                     construction)
 //	ares.fastpath.misses trials that required real inference
 //	ares.replicas.created model replicas materialized (lazy, <= GOMAXPROCS)
 //	ares.replicas.busy   replicas currently checked out (occupancy gauge)
@@ -40,7 +39,7 @@ import "repro/internal/telemetry"
 
 var met = struct {
 	encode, inject, decode, eval *telemetry.Timer
-	evalParallel, evalDirect     *telemetry.Timer
+	evalParallel                 *telemetry.Timer
 	cacheHits, cacheMisses       *telemetry.Counter
 	fastHits, fastMisses         *telemetry.Counter
 	replicasCreated              *telemetry.Counter
@@ -55,7 +54,6 @@ var met = struct {
 	decode:          telemetry.Default().Timer("ares.phase.decode"),
 	eval:            telemetry.Default().Timer("ares.phase.eval"),
 	evalParallel:    telemetry.Default().Timer("ares.eval.parallel"),
-	evalDirect:      telemetry.Default().Timer("ares.eval.direct"),
 	cacheHits:       telemetry.Default().Counter("ares.enccache.hits"),
 	cacheMisses:     telemetry.Default().Counter("ares.enccache.misses"),
 	fastHits:        telemetry.Default().Counter("ares.fastpath.hits"),

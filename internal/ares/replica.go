@@ -2,7 +2,6 @@ package ares
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -11,157 +10,92 @@ import (
 	"repro/internal/train"
 )
 
-// The inference replica pool: the parallel measurement tail of
-// EvalTrial and LifetimeTrial.
+// The inference replica pool: the parallel measurement step of every
+// trial route (EvalTrial, LifetimeTrial).
 //
-// The serial path (MeasureDecoded) mutates the ONE shared model under a
-// mutex, so with W campaign workers the encode/inject/decode stages
-// parallelize but every trial still funnels through a single inference
-// critical section — the campaign's throughput ceiling is one core as
-// soon as inference dominates. A replica is a CloneShared copy of the
-// evaluator's model whose weight matrices point at the pristine
-// clustered snapshot; a trial checks out a replica, swaps private
-// buffers over ONLY the layers its decoded indices actually corrupt,
-// runs the allocation-free Forwarder pass, and repoints the shared
-// matrices on check-in. Replicas are created lazily up to GOMAXPROCS.
+// A replica is a serial Forwarder over the evaluator's model plus the
+// private buffers its overlay fills. The model is shared read-only —
+// its weight layers hold the pristine clustered weights — so a trial
+// checks out a replica, overlays operands on ONLY the layers it
+// corrupted (Forwarder.Ops), runs the allocation-free forward pass, and
+// clears the overlay on check-in. Replicas are created lazily up to
+// GOMAXPROCS; with W campaign workers, W trials run inference at once.
 //
 // Purity argument (why the (cfg, seed) contract survives): a trial's
-// decoded indices are a pure function of (cfg, seed) — all randomness
+// corrupted weights are a pure function of (cfg, seed) — all randomness
 // is drawn from stats.NewSource(seed) before measurement begins. The
-// measurement itself is a deterministic function of the decoded indices
-// alone: every replica holds bit-identical pristine weights (the shared
-// snapshot), private buffers are fully overwritten before use, and the
-// Forwarder's arithmetic is independent of worker count and replica
-// identity. Which replica serves a trial therefore cannot affect its
-// delta.
+// measurement itself is a deterministic function of those weights
+// alone: every replica reads the same pristine model, private buffers
+// are fully overwritten before use, and the Forwarder's arithmetic is
+// independent of worker count and replica identity. Which replica
+// serves a trial therefore cannot affect its delta.
 
 // replica is one checked-out-able inference engine.
 type replica struct {
-	model *dnn.Model
-	fw    *dnn.Forwarder
-	// priv[i] is the lazily materialized private weight buffer for
-	// weight-layer ordinal i; it is swapped over the shared pristine
-	// matrix only when trial i's decoded indices differ from pristine.
-	priv []*tensor.Matrix
-	// dirty lists the ordinals whose layers currently point at private
-	// buffers, so reset is O(corrupted layers).
-	dirty []int
-	// priv24[i] is the lazily materialized private compute-direct 2:4
-	// buffer for weight-layer ordinal i (Kind24 trials only).
-	priv24 []*tensor.Sparse24
-	// dirty24 lists the ordinals whose layers currently carry a non-nil
-	// Weights24 (shared pristine or private), so reset can clear them.
-	dirty24 []int
-	// dirtyX lists the ordinals whose layers currently carry a non-nil
-	// WeightsXbar (crossbar trials own the handle; the replica only
-	// borrows it for one measurement), so reset can clear them.
-	dirtyX []int
+	// fw runs over the evaluator's shared model with Workers=1:
+	// trial-level parallelism already fills the machine, so kernel-level
+	// goroutines would only add oversubscription and per-call
+	// allocations. fw.Ops is the replica's overlay.
+	fw *dnn.Forwarder
+	// dense[i] and s24[i] are weight layer i's lazily materialized
+	// private buffers, filled from a trial's decoded indices or
+	// corrupted 2:4 compact form.
+	dense []*tensor.Matrix
+	s24   []*tensor.Sparse24
 }
 
-// newReplica clones the evaluator's model with shared storage, points
-// every weight layer at the pristine snapshot, and binds a serial
-// (Workers=1) Forwarder: trial-level parallelism already fills the
-// machine, so kernel-level goroutines would only add oversubscription
-// and per-call allocations.
 func (ev *MeasuredEvaluator) newReplica() *replica {
-	m := ev.Model.CloneShared()
-	for _, li := range ev.layerIdx {
-		m.Layers[li].Weights = ev.snap[li]
-	}
-	fw := dnn.NewForwarder(m)
+	fw := dnn.NewForwarder(ev.Model)
 	fw.Workers = 1
 	return &replica{
-		model:   m,
-		fw:      fw,
-		priv:    make([]*tensor.Matrix, len(ev.clustered)),
-		dirty:   make([]int, 0, len(ev.clustered)),
-		priv24:  make([]*tensor.Sparse24, len(ev.clustered)),
-		dirty24: make([]int, 0, len(ev.clustered)),
-		dirtyX:  make([]int, 0, len(ev.clustered)),
+		fw:    fw,
+		dense: make([]*tensor.Matrix, len(ev.clustered)),
+		s24:   make([]*tensor.Sparse24, len(ev.clustered)),
 	}
 }
 
-// applyRaw points weight-layer ordinal i at a caller-owned dense weight
-// matrix for the duration of one measurement (the crossbar route's
-// ideal-ADC path: the trial already materialized its effective weights,
-// so the replica borrows them zero-copy instead of filling a private
-// buffer).
-func (r *replica) applyRaw(ev *MeasuredEvaluator, i int, w *tensor.Matrix) {
-	r.model.Layers[ev.layerIdx[i]].Weights = w
-	r.dirty = append(r.dirty, i)
+// overlay points the replica's Forwarder at trial t's weights: each
+// layer payload becomes an operand — a ready one as is, a decoded or
+// 2:4 one filled into the replica's private buffer. No dense matrix is
+// allocated once the buffers exist.
+func (r *replica) overlay(ev *MeasuredEvaluator, t trial) {
+	for i, p := range t.layers {
+		cl := ev.clustered[i]
+		var op tensor.Operand
+		switch {
+		case p.op != nil:
+			op = p.op
+		case p.vals != nil:
+			buf := r.s24[i]
+			if buf == nil {
+				buf = tensor.NewSparse24(cl.Rows, cl.Cols)
+				r.s24[i] = buf
+			}
+			centroidsInto(buf.Val, p.vals, cl.Centroids)
+			copy(buf.Pos, p.pos)
+			op = buf
+		case p.idx != nil && !bytes.Equal(p.idx, cl.Indices):
+			// Compared against the clustered indices the model holds,
+			// not the route's reference: on the Kind24 decode-to-dense
+			// route a clean layer decodes to the projected indices,
+			// which still differ from the model's weights.
+			buf := r.dense[i]
+			if buf == nil {
+				buf = tensor.NewMatrix(cl.Rows, cl.Cols)
+				r.dense[i] = buf
+			}
+			centroidsInto(buf.Data, p.idx, cl.Centroids)
+			op = buf
+		default:
+			continue // the model's own weights
+		}
+		r.fw.Ops[ev.layerIdx[i]] = op
+	}
 }
 
-// applyXbar routes weight-layer ordinal i through the crossbar kernels
-// for one measurement.
-func (r *replica) applyXbar(ev *MeasuredEvaluator, i int, x *tensor.Xbar) {
-	r.model.Layers[ev.layerIdx[i]].WeightsXbar = x
-	r.dirtyX = append(r.dirtyX, i)
-}
-
-// apply swaps weight-layer ordinal i to a private buffer filled with
-// the decoded centroids.
-func (r *replica) apply(ev *MeasuredEvaluator, i int, decoded []uint8) {
-	cl := ev.clustered[i]
-	buf := r.priv[i]
-	if buf == nil {
-		buf = tensor.NewMatrix(cl.Rows, cl.Cols)
-		r.priv[i] = buf
-	}
-	for j, idx := range decoded {
-		buf.Data[j] = cl.Centroids[idx]
-	}
-	r.model.Layers[ev.layerIdx[i]].Weights = buf
-	r.dirty = append(r.dirty, i)
-}
-
-// apply24Shared points weight-layer ordinal i at the evaluator's shared
-// pristine 2:4 compact — read-only, so sharing across replicas is safe.
-func (r *replica) apply24Shared(ev *MeasuredEvaluator, i int, s24 *tensor.Sparse24) {
-	r.model.Layers[ev.layerIdx[i]].Weights24 = s24
-	r.dirty24 = append(r.dirty24, i)
-}
-
-// apply24 swaps weight-layer ordinal i to a private compute-direct 2:4
-// buffer filled from a corrupted canonical compact form: cluster
-// indices map through the centroid table into Val, positions copy
-// verbatim. No dense matrix is materialized.
-func (r *replica) apply24(ev *MeasuredEvaluator, i int, vals, pos []uint8) {
-	cl := ev.clustered[i]
-	buf := r.priv24[i]
-	if buf == nil {
-		buf = tensor.NewSparse24(cl.Rows, cl.Cols)
-		r.priv24[i] = buf
-	}
-	for j, v := range vals {
-		buf.Val[j] = cl.Centroids[v]
-	}
-	copy(buf.Pos, pos)
-	r.model.Layers[ev.layerIdx[i]].Weights24 = buf
-	r.dirty24 = append(r.dirty24, i)
-}
-
-// reset repoints every corrupted layer back at the shared pristine
-// snapshot and clears any 2:4 overlays (a non-nil Weights24 would
-// otherwise shadow the dense weights for the next trial). Private
-// buffers are kept for reuse.
-func (r *replica) reset(ev *MeasuredEvaluator) {
-	for _, i := range r.dirty {
-		r.model.Layers[ev.layerIdx[i]].Weights = ev.snap[ev.layerIdx[i]]
-	}
-	r.dirty = r.dirty[:0]
-	for _, i := range r.dirty24 {
-		r.model.Layers[ev.layerIdx[i]].Weights24 = nil
-	}
-	r.dirty24 = r.dirty24[:0]
-	for _, i := range r.dirtyX {
-		r.model.Layers[ev.layerIdx[i]].WeightsXbar = nil
-	}
-	r.dirtyX = r.dirtyX[:0]
-}
-
-// bytes24Equal reports whether two compact forms are equal.
-func bytes24Equal(av, ap, bv, bp []uint8) bool {
-	return bytes.Equal(av, bv) && bytes.Equal(ap, bp)
+// reset clears the overlay; private buffers are kept for reuse.
+func (r *replica) reset() {
+	clear(r.fw.Ops)
 }
 
 // initReplicaPool sizes the pool to GOMAXPROCS at construction time.
@@ -195,70 +129,44 @@ func (ev *MeasuredEvaluator) checkout() *replica {
 
 // checkin resets the replica to pristine and returns it to the pool.
 func (ev *MeasuredEvaluator) checkin(r *replica) {
-	r.reset(ev)
+	r.reset()
 	ev.replicas <- r
 	met.replicasBusy.Add(-1)
 }
 
-// checkDecoded validates the decoded-layer matrix against the
-// evaluator's clustered layers.
-func (ev *MeasuredEvaluator) checkDecoded(decodedLayers [][]uint8) error {
-	if len(decodedLayers) != len(ev.clustered) {
-		return fmt.Errorf("ares: %d decoded layers vs %d clustered", len(decodedLayers), len(ev.clustered))
-	}
-	for i, cl := range ev.clustered {
-		if len(decodedLayers[i]) != len(cl.Indices) {
-			return fmt.Errorf("ares: layer %d: %d decoded indices vs %d weights",
-				i, len(decodedLayers[i]), len(cl.Indices))
-		}
-	}
-	return nil
-}
-
-// measureDecoded is the parallel inference tail shared by EvalTrial and
-// LifetimeTrial: validate, take the zero-mismatch fast path when every
-// decoded layer equals its reference indices (the common SLC / post-ECC
-// case — reference indices reproduce the baseline exactly, so the delta
-// is 0 by construction), otherwise check out a replica, overlay the
-// corrupted layers, and run real inference. Concurrent calls proceed in
-// parallel up to the pool size. refs and baseline come from refFor: the
-// clustered indices and clustered baseline for lossless encodings, the
-// projected indices and projected baseline for Kind24's decode-to-dense
-// oracle route.
-func (ev *MeasuredEvaluator) measureDecoded(decodedLayers, refs [][]uint8, baseline float64) (float64, error) {
-	if err := ev.checkDecoded(decodedLayers); err != nil {
-		return 0, err
-	}
-	pristine := true
-	for i := range ev.clustered {
-		if !bytes.Equal(decodedLayers[i], refs[i]) {
-			pristine = false
-			break
-		}
-	}
-	if pristine {
+// measure is the one measurement step of every trial route: take the
+// zero-mismatch fast path when the trial is pristine (the common SLC /
+// post-ECC case — the reference weights reproduce the baseline exactly,
+// so the delta is 0 by construction), otherwise check out a replica,
+// overlay the trial's weights, run real inference, and clamp the delta
+// against the trial's baseline. Concurrent calls proceed in parallel up
+// to the pool size.
+func (ev *MeasuredEvaluator) measure(t trial) float64 {
+	if t.pristine {
 		met.fastHits.Inc()
-		return 0, nil
+		return 0
 	}
 	met.fastMisses.Inc()
 	waitStart := time.Now()
 	r := ev.checkout()
 	defer ev.checkin(r)
 	evalStart := time.Now()
-	// Overlay every layer whose decoded indices differ from the pristine
-	// SNAPSHOT (not the reference): on the Kind24 oracle route a clean
-	// layer decodes to the projected indices, which still differ from the
-	// clustered snapshot the replica's shared matrices hold.
-	for i, cl := range ev.clustered {
-		if !bytes.Equal(decodedLayers[i], cl.Indices) {
-			r.apply(ev, i, decodedLayers[i])
-		}
-	}
-	delta := train.ErrorWith(r.fw, ev.Test) - baseline
+	r.overlay(ev, t)
+	delta := train.ErrorWith(r.fw, ev.Test) - t.baseline
 	met.eval.Since(evalStart)
 	met.evalParallel.Since(waitStart)
-	if delta < 0 {
-		delta = 0
+	return clampDelta(delta)
+}
+
+// baselineWith measures the fault-free error of the model with one
+// operand per weight layer, through exactly the kernels trials use: the
+// projected-model (2:4) and mapped-model (crossbar) baselines. It runs
+// a one-shot serial Forwarder, outside the replica pool.
+func (ev *MeasuredEvaluator) baselineWith(ops []tensor.Operand) float64 {
+	fw := dnn.NewForwarder(ev.Model)
+	fw.Workers = 1
+	for i, op := range ops {
+		fw.Ops[ev.layerIdx[i]] = op
 	}
-	return delta, nil
+	return train.ErrorWith(fw, ev.Test)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestReplicaParityWithSerial pins the replica-pool measurement path
-// bit-identical to the legacy serialized path over a (cfg, seed) grid:
+// bit-identical to the reference oracle over a (cfg, seed) grid:
 // every trial's delta AND aggregated stats must match exactly, not
 // approximately — the replica pool is a pure transport change.
 func TestReplicaParityWithSerial(t *testing.T) {
@@ -92,9 +92,20 @@ func TestReplicaParityConcurrent(t *testing.T) {
 	}
 }
 
-// TestFastPathFiresIffPristine drives measureDecoded directly: pristine
-// indices must take the zero-inference fast path (hit counter, delta 0),
-// and a single flipped index must force real inference (miss counter).
+// decodedTrial builds a stored-bit trial from per-layer decoded indices
+// against the clustered references, the way corruptStorage does.
+func decodedTrial(ev *MeasuredEvaluator, decoded [][]uint8) trial {
+	t := ev.newTrial(ev.BaselineErr)
+	for i, cl := range ev.clustered {
+		t.addDecoded(i, TrialStats{}, decoded[i], cl.Indices)
+	}
+	return t
+}
+
+// TestFastPathFiresIffPristine drives the measure step directly:
+// pristine indices must take the zero-inference fast path (hit counter,
+// delta 0), and a single flipped index must force real inference (miss
+// counter) that agrees with the reference oracle.
 func TestFastPathFiresIffPristine(t *testing.T) {
 	ev := getMeasured(t)
 	pristine := make([][]uint8, len(ev.clustered))
@@ -103,11 +114,11 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 	}
 
 	hits0, misses0 := met.fastHits.Value(), met.fastMisses.Value()
-	delta, err := ev.measureDecoded(pristine, ev.origIdx, ev.BaselineErr)
-	if err != nil {
-		t.Fatal(err)
+	tr := decodedTrial(ev, pristine)
+	if !tr.pristine {
+		t.Fatal("pristine indices not flagged pristine")
 	}
-	if delta != 0 {
+	if delta := ev.measure(tr); delta != 0 {
 		t.Errorf("pristine delta = %v, want exactly 0", delta)
 	}
 	if h := met.fastHits.Value() - hits0; h != 1 {
@@ -116,10 +127,10 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 	if m := met.fastMisses.Value() - misses0; m != 0 {
 		t.Errorf("fast-path misses += %d, want 0", m)
 	}
-	// The serial reference agrees: pristine indices reproduce the
-	// baseline, so the clamped delta is 0 there too.
-	if dSer, err := ev.MeasureDecoded(pristine); err != nil || dSer != 0 {
-		t.Errorf("serial pristine delta = %v err %v, want 0", dSer, err)
+	// The oracle has no fast path: pristine indices reproduce the
+	// baseline through real inference, so its delta is 0 too.
+	if dSer := ev.measureSerial(tr); dSer != 0 {
+		t.Errorf("oracle pristine delta = %v, want 0", dSer)
 	}
 
 	// Flip one index in one layer (to a different valid centroid).
@@ -133,23 +144,17 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 		corrupted[0][0] = 0
 	}
 	hits0, misses0 = met.fastHits.Value(), met.fastMisses.Value()
-	dCor, err := ev.measureDecoded(corrupted, ev.origIdx, ev.BaselineErr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr = decodedTrial(ev, corrupted)
+	dCor := ev.measure(tr)
 	if h := met.fastHits.Value() - hits0; h != 0 {
 		t.Errorf("corrupted trial took the fast path (%d hits)", h)
 	}
 	if m := met.fastMisses.Value() - misses0; m != 1 {
 		t.Errorf("fast-path misses += %d, want 1", m)
 	}
-	// And it matches the serial measurement of the same corruption.
-	dSer, err := ev.MeasureDecoded(corrupted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dCor != dSer {
-		t.Errorf("corrupted replica delta %v != serial %v", dCor, dSer)
+	// And it matches the oracle's measurement of the same corruption.
+	if dSer := ev.measureSerial(tr); dCor != dSer {
+		t.Errorf("corrupted replica delta %v != oracle %v", dCor, dSer)
 	}
 }
 
@@ -171,22 +176,5 @@ func TestFastPathOnPerfectStorage(t *testing.T) {
 	}
 	if h := met.fastHits.Value() - hits0; h != 1 {
 		t.Errorf("fast-path hits += %d, want 1", h)
-	}
-}
-
-// TestMeasureDecodedValidates keeps the replica path's input validation
-// at parity with the serial path.
-func TestMeasureDecodedValidates(t *testing.T) {
-	ev := getMeasured(t)
-	if _, err := ev.measureDecoded(nil, ev.origIdx, ev.BaselineErr); err == nil {
-		t.Error("nil decoded layers accepted")
-	}
-	bad := make([][]uint8, len(ev.clustered))
-	for i, cl := range ev.clustered {
-		bad[i] = append([]uint8(nil), cl.Indices...)
-	}
-	bad[0] = bad[0][:1]
-	if _, err := ev.measureDecoded(bad, ev.origIdx, ev.BaselineErr); err == nil {
-		t.Error("truncated layer accepted")
 	}
 }

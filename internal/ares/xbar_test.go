@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/crossbar"
 	"repro/internal/envm"
+	"repro/internal/stats"
 )
 
 func xbarCfg(xc crossbar.Config) Config {
@@ -101,7 +102,7 @@ func TestEvalTrialXbarSerialParityGrid(t *testing.T) {
 }
 
 // TestEvalTrialXbarConcurrent repeats the parity check under real
-// replica-pool contention, including the ADC (WeightsXbar) route.
+// replica-pool contention, including the ADC (*tensor.Xbar) route.
 func TestEvalTrialXbarConcurrent(t *testing.T) {
 	ev := getMeasured(t)
 	ctx := context.Background()
@@ -134,6 +135,35 @@ func TestEvalTrialXbarConcurrent(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("trial %d: concurrent delta %v != serial %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestEvalConfigCrossbar: EvalConfig takes the crossbar route for a
+// crossbar config — its per-trial stats and mean delta equal the
+// matching EvalTrial calls at EvalConfig's per-trial seeds.
+func TestEvalConfigCrossbar(t *testing.T) {
+	ev := getMeasured(t)
+	ctx := context.Background()
+	cfg := xbarCfg(crossbar.Config{Rows: 32, Cols: 16, VarSigma: 0.05, StuckColRate: 5e-3, ADCBits: 8})
+	const trials, seed = 4, 17
+	res := ev.EvalConfig(cfg, trials, seed)
+	src := stats.NewSource(seed)
+	var sum float64
+	for i := 0; i < trials; i++ {
+		d, st, err := ev.EvalTrial(ctx, cfg, src.ForkSeed(uint64(i)+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != res.Stats[i] {
+			t.Errorf("trial %d: EvalConfig stats %+v != EvalTrial %+v", i, res.Stats[i], st)
+		}
+		if st.Mismatch == 0 {
+			t.Errorf("trial %d: crossbar variation left every weight pristine", i)
+		}
+		sum += d
+	}
+	if mean := sum / trials; res.MeanDeltaErr != mean {
+		t.Errorf("EvalConfig mean delta %v != mean of EvalTrial %v", res.MeanDeltaErr, mean)
 	}
 }
 

@@ -14,12 +14,10 @@ import (
 // the garbage generated per trial scales with trials x test-set size.
 //
 // A Forwarder is NOT safe for concurrent use; run one per worker (the
-// ares replica pool does exactly that). Weight matrices are read from
-// the model at call time, so swapping a layer's Weights pointer between
-// calls (the replica pool's private corrupted buffers) is supported —
-// and a non-nil Weights24 routes the layer through the compute-direct
-// 2:4 kernels instead of the dense ones (bit-identical output, half the
-// MACs; see tensor.MulABt24Band).
+// ares replica pool does exactly that). The model itself is only read,
+// so any number of Forwarders may share one model concurrently. Weight
+// matrices are read at call time, so swapping a layer's Weights
+// pointer between calls is supported.
 type Forwarder struct {
 	m *Model
 	// Workers bounds kernel parallelism (convolution image bands and
@@ -28,6 +26,14 @@ type Forwarder struct {
 	// also keeps the pass free of goroutine spawns and therefore
 	// allocation-free in steady state.
 	Workers int
+	// Ops is the per-layer weight-operand overlay, indexed like
+	// Model.Layers: a non-nil entry runs that layer in place of its
+	// dense Weights — a private dense buffer, a compute-direct 2:4
+	// matrix (bit-identical to the dense kernels on the decoded
+	// weights, half the MACs), or a crossbar handle. A nil entry means
+	// the layer's Weights. The overlay is per Forwarder, so Forwarders
+	// sharing one model can each run different weights.
+	Ops []tensor.Operand
 
 	acts   []*tensor.Tensor4 // per-layer output buffers, grown on demand
 	conv   tensor.ConvWorkspace
@@ -40,7 +46,20 @@ type Forwarder struct {
 // lazily on the first Forward call and thereafter reused whenever the
 // batch shape repeats.
 func NewForwarder(m *Model) *Forwarder {
-	return &Forwarder{m: m, acts: make([]*tensor.Tensor4, len(m.Layers))}
+	return &Forwarder{
+		m:    m,
+		Ops:  make([]tensor.Operand, len(m.Layers)),
+		acts: make([]*tensor.Tensor4, len(m.Layers)),
+	}
+}
+
+// operand returns layer i's weight operand: its overlay entry, or the
+// layer's dense Weights.
+func (f *Forwarder) operand(i int) tensor.Operand {
+	if op := f.Ops[i]; op != nil {
+		return op
+	}
+	return f.m.Layers[i].Weights
 }
 
 // ensure returns the layer-i output buffer with the given shape,
@@ -85,31 +104,12 @@ func (f *Forwarder) Forward(in *tensor.Tensor4) *tensor.Matrix {
 		switch l.Kind {
 		case Conv:
 			out := f.ensure(i, x.N, l.Conv.OutC, l.Conv.OutH(), l.Conv.OutW())
-			if l.WeightsXbar != nil {
-				tensor.Conv2DXbarInto(out, x, l.WeightsXbar, l.Bias, l.Conv, &f.conv)
-			} else if l.Weights24 != nil {
-				tensor.Conv2D24Into(out, x, l.Weights24, l.Bias, l.Conv, &f.conv)
-			} else {
-				tensor.Conv2DInto(out, x, l.Weights, l.Bias, l.Conv, &f.conv)
-			}
+			f.operand(i).ConvInto(out, x, l.Bias, l.Conv, &f.conv)
 		case FC:
 			out := f.ensure(i, x.N, l.OutFeatures, 1, 1)
 			f.flat = tensor.Matrix{Rows: x.N, Cols: x.C * x.H * x.W, Data: x.Data}
 			f.view = tensor.Matrix{Rows: x.N, Cols: l.OutFeatures, Data: out.Data}
-			switch {
-			case l.WeightsXbar != nil:
-				// The crossbar route is always serial: it runs inside a
-				// replica (Workers=1) or a one-shot baseline pass.
-				tensor.MulABtXbarBand(&f.view, &f.flat, l.WeightsXbar, 0, x.N)
-			case l.Weights24 != nil && f.Workers == 1:
-				tensor.MulABt24Band(&f.view, &f.flat, l.Weights24, 0, x.N)
-			case l.Weights24 != nil:
-				tensor.MulABt24Into(&f.view, &f.flat, l.Weights24)
-			case f.Workers == 1:
-				tensor.MulABtBand(&f.view, &f.flat, l.Weights, 0, x.N)
-			default:
-				tensor.MulABtInto(&f.view, &f.flat, l.Weights)
-			}
+			f.operand(i).MulABt(&f.view, &f.flat, f.Workers)
 			if l.Bias != nil {
 				f.view.AddBiasRows(l.Bias)
 			}

@@ -83,19 +83,9 @@ type Layer struct {
 	ReLUAfter bool
 
 	// Weights holds the layer parameters in 2-D form (nil for
-	// pool/add layers). Mutable: fault injection decodes into this.
+	// pool/add layers). Other weight formats (2:4, crossbar) run through
+	// a Forwarder's per-layer operand overlay instead (Forwarder.Ops).
 	Weights *tensor.Matrix
-	// Weights24, when non-nil, overrides Weights with a compute-direct
-	// 2:4 structured-sparse form: the Forwarder runs the layer through
-	// the sparse kernels without ever materializing a dense matrix. Set
-	// (and cleared) per trial by the ares evaluator's replica pool.
-	Weights24 *tensor.Sparse24
-	// WeightsXbar, when non-nil, routes the layer through the crossbar
-	// compute-in-memory kernels (effective weights with per-row-tile
-	// ADC quantization; see tensor.Xbar). Takes precedence over both
-	// Weights and Weights24. Set (and cleared) per trial by the ares
-	// evaluator's replica pool.
-	WeightsXbar *tensor.Xbar
 	// Bias holds the per-output-channel bias (may be nil).
 	Bias []float32
 }
@@ -356,47 +346,12 @@ func (m *Model) Materialized() bool {
 	return true
 }
 
-// CloneWeights returns deep copies of all weight matrices, keyed by layer
-// index, so fault-injection trials can restore pristine weights.
-func (m *Model) CloneWeights() map[int]*tensor.Matrix {
-	out := make(map[int]*tensor.Matrix)
-	for i, l := range m.Layers {
-		if l.Weights != nil {
-			out[i] = l.Weights.Clone()
-		}
-	}
-	return out
-}
-
-// RestoreWeights copies the snapshot back into the model.
-func (m *Model) RestoreWeights(snap map[int]*tensor.Matrix) {
-	for i, w := range snap {
-		copy(m.Layers[i].Weights.Data, w.Data)
-	}
-}
-
 // Forward runs inference on a batch and returns the (N x Classes) logit
 // matrix. The model must be valid (see Validate); Forward panics on shape
 // errors. It delegates to a throwaway Forwarder; callers that evaluate
 // repeatedly should hold a Forwarder themselves to reuse its buffers.
 func (m *Model) Forward(in *tensor.Tensor4) *tensor.Matrix {
 	return NewForwarder(m).Forward(in)
-}
-
-// CloneShared returns a model whose Layer structs are copies but whose
-// weight and bias storage is SHARED with the receiver. It is the basis
-// of the inference replica pool: replicas treat the shared matrices as
-// read-only and swap in private buffers for the layers a trial
-// corrupts, so a pool costs one set of pristine weights plus only the
-// corrupted deltas.
-func (m *Model) CloneShared() *Model {
-	out := *m
-	out.Layers = make([]*Layer, len(m.Layers))
-	for i, l := range m.Layers {
-		ll := *l
-		out.Layers[i] = &ll
-	}
-	return &out
 }
 
 // Predict returns the argmax class per batch sample.

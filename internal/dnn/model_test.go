@@ -139,23 +139,6 @@ func TestForwardDeterministic(t *testing.T) {
 	}
 }
 
-func TestCloneRestoreWeights(t *testing.T) {
-	m := TinyCNN()
-	m.InitWeights(11)
-	snap := m.CloneWeights()
-	orig := m.Layers[0].Weights.Data[0]
-	m.Layers[0].Weights.Data[0] = 999
-	m.RestoreWeights(snap)
-	if m.Layers[0].Weights.Data[0] != orig {
-		t.Error("restore failed")
-	}
-	// Snapshot must be independent.
-	m.Layers[0].Weights.Data[0] = 123
-	if snap[0].Data[0] == 123 {
-		t.Error("snapshot aliases live weights")
-	}
-}
-
 func TestSparsityCount(t *testing.T) {
 	m := TinyCNN()
 	m.InitWeights(13)

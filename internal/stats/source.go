@@ -32,10 +32,16 @@ func NewSource(seed uint64) *Source {
 // with distinct labels yields decorrelated streams while preserving
 // reproducibility.
 func (s *Source) Fork(label uint64) *Source {
+	return NewSource(s.ForkSeed(label))
+}
+
+// ForkSeed is Fork returning the child's seed instead of the child:
+// NewSource(s.ForkSeed(label)) draws exactly what s.Fork(label) would.
+// It hands a forked stream across an API that takes a seed.
+func (s *Source) ForkSeed(label uint64) uint64 {
 	h := s.Uint64() ^ (label * 0x9e3779b97f4a7c15)
 	h ^= h >> 31
-	h *= 0xbf58476d1ce4e5b9
-	return &Source{state: h}
+	return h * 0xbf58476d1ce4e5b9
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.

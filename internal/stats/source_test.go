@@ -55,6 +55,23 @@ func TestForkReproducible(t *testing.T) {
 	}
 }
 
+// TestForkSeedMatchesFork: a stream rebuilt from ForkSeed draws exactly
+// what Fork returns, and both advance the parent identically.
+func TestForkSeedMatchesFork(t *testing.T) {
+	a, b := NewSource(99), NewSource(99)
+	for label := uint64(1); label <= 4; label++ {
+		fa, fb := a.Fork(label), NewSource(b.ForkSeed(label))
+		for i := 0; i < 8; i++ {
+			if x, y := fa.Uint64(), fb.Uint64(); x != y {
+				t.Fatalf("label %d draw %d: Fork %#x != NewSource(ForkSeed) %#x", label, i, x, y)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("ForkSeed advanced the parent differently from Fork")
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := NewSource(3)
 	f := func(_ uint8) bool {

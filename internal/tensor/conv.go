@@ -167,19 +167,7 @@ func Conv2D(in *Tensor4, weights *Matrix, bias []float32, cs ConvShape) *Tensor4
 // GEMM instead. Per-element arithmetic is identical for every worker
 // count.
 func Conv2DInto(out *Tensor4, in *Tensor4, weights *Matrix, bias []float32, cs ConvShape, ws *ConvWorkspace) {
-	if err := cs.Validate(); err != nil {
-		panic(err)
-	}
-	if weights.Rows != cs.OutC || weights.Cols != cs.InC*cs.KH*cs.KW {
-		panic(fmt.Sprintf("tensor: conv weight shape %dx%d incompatible with %+v",
-			weights.Rows, weights.Cols, cs))
-	}
-	if in.C != cs.InC || in.H != cs.InH || in.W != cs.InW {
-		panic("tensor: conv input shape mismatch")
-	}
-	if out.N != in.N || out.C != cs.OutC || out.H != cs.OutH() || out.W != cs.OutW() {
-		panic("tensor: conv output shape mismatch")
-	}
+	checkConv(out, in, weights.Rows, weights.Cols, cs)
 	workers := ws.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -283,19 +283,7 @@ func MulABt24Into(dst, a *Matrix, w *Sparse24) {
 // each output element accumulates the same terms in the same ascending
 // entry order regardless of the GEMM width (see mul24Band).
 func Conv2D24Into(out *Tensor4, in *Tensor4, weights *Sparse24, bias []float32, cs ConvShape, ws *ConvWorkspace) {
-	if err := cs.Validate(); err != nil {
-		panic(err)
-	}
-	if weights.Rows != cs.OutC || weights.Cols != cs.InC*cs.KH*cs.KW {
-		panic(fmt.Sprintf("tensor: conv 2:4 weight shape %dx%d incompatible with %+v",
-			weights.Rows, weights.Cols, cs))
-	}
-	if in.C != cs.InC || in.H != cs.InH || in.W != cs.InW {
-		panic("tensor: conv input shape mismatch")
-	}
-	if out.N != in.N || out.C != cs.OutC || out.H != cs.OutH() || out.W != cs.OutW() {
-		panic("tensor: conv output shape mismatch")
-	}
+	checkConv(out, in, weights.Rows, weights.Cols, cs)
 	workers := ws.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -184,22 +184,12 @@ func mulXbar(dst []float32, x *Xbar, b *Matrix, scratch []float32, clips *int64)
 // Conv2DXbarInto is Conv2DInto with the layer routed through the
 // crossbar kernels: each image is lowered with im2col and multiplied
 // by the effective weights with per-tile ADC quantization. It runs the
-// batch serially with worker 0's scratch — the crossbar route always
-// executes inside a replica (Workers=1) or a one-shot baseline pass.
+// batch serially with worker 0's scratch whatever ws.Workers says —
+// the crossbar route parallelizes at trial level, one replica per
+// worker.
 func Conv2DXbarInto(out *Tensor4, in *Tensor4, x *Xbar, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	x.check()
-	if err := cs.Validate(); err != nil {
-		panic(err)
-	}
-	if x.W.Rows != cs.OutC || x.W.Cols != cs.InC*cs.KH*cs.KW {
-		panic(fmt.Sprintf("tensor: xbar conv weight shape %dx%d incompatible with %+v", x.W.Rows, x.W.Cols, cs))
-	}
-	if in.C != cs.InC || in.H != cs.InH || in.W != cs.InW {
-		panic("tensor: xbar conv input shape mismatch")
-	}
-	if out.N != in.N || out.C != cs.OutC || out.H != cs.OutH() || out.W != cs.OutW() {
-		panic("tensor: xbar conv output shape mismatch")
-	}
+	checkConv(out, in, x.W.Rows, x.W.Cols, cs)
 	sc := ws.scratchFor(0)
 	ohw := cs.OutH() * cs.OutW()
 	sc.gemm.Reshape(1, ohw)
