@@ -312,7 +312,7 @@ func BenchmarkEncodeCSR(b *testing.B) {
 	cl := benchClustered(256, 1024, 0.8, 4, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparse.Must(sparse.Encode(sparse.KindCSR, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+		sparse.Must(sparse.Encode(sparse.KindCSR, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
 	}
 }
 
@@ -320,13 +320,13 @@ func BenchmarkEncodeBitMask(b *testing.B) {
 	cl := benchClustered(256, 1024, 0.8, 4, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+		sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
 	}
 }
 
 func BenchmarkDecodeBitMask(b *testing.B) {
 	cl := benchClustered(256, 1024, 0.8, 4, 4)
-	enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+	enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.Decode()

@@ -111,6 +111,9 @@ func runCrossbar(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Every campaign after the first appends to the shared
+		// -checkpoint file instead of truncating it (see runCompare).
+		opt.Resume = true
 		after, err := xbarCampaign(ctx, ev, ares.Config{Tech: tech, Crossbar: &mit}, opt)
 		if err != nil {
 			log.Fatal(err)

@@ -43,7 +43,6 @@ import (
 	"repro/internal/ares"
 	"repro/internal/campaign"
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/crossbar"
 	"repro/internal/dnn"
 	"repro/internal/envm"
@@ -54,7 +53,7 @@ import (
 
 func main() {
 	techName := flag.String("tech", "MLC-CTT", "technology (MLC-CTT, MLC-RRAM, Opt MLC-RRAM, SLC-RRAM)")
-	encName := flag.String("encoding", "csr", "encoding: "+strings.Join(cliutil.EncodingNames(), "|"))
+	encName := flag.String("encoding", "csr", "encoding: "+strings.Join(sparse.KindNames(), "|"))
 	bpc := flag.Int("bpc", 3, "default bits per cell")
 	eccList := flag.String("ecc", "", "comma-separated streams to ECC-protect")
 	slcList := flag.String("slc", "", "comma-separated streams forced to SLC")
@@ -84,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind, err := cliutil.ParseEncoding(*encName)
+	kind, err := sparse.ParseKind(*encName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
 		os.Exit(2)
@@ -96,15 +95,18 @@ func main() {
 		Default:   ares.StreamPolicy{BPC: *bpc},
 		Overrides: map[string]ares.StreamPolicy{},
 	}
-	for _, s := range mustStreams(kind, "-ecc", *eccList) {
+	for _, s := range splitList(*eccList) {
 		cfg.Overrides[s] = ares.StreamPolicy{BPC: *bpc, ECC: true}
 	}
-	for _, s := range mustStreams(kind, "-slc", *slcList) {
+	for _, s := range splitList(*slcList) {
 		cfg.Overrides[s] = ares.StreamPolicy{BPC: 1}
 	}
 	cfg.Degrade = *degrade
+	// A stream the encoding does not store (a typo like "-ecc rowcnt")
+	// or an infeasible -bpc is a usage error, caught before training.
 	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
+		os.Exit(2)
 	}
 	if *resume && *checkpoint == "" {
 		log.Fatal("faultsim: -resume requires -checkpoint")
@@ -344,6 +346,10 @@ func runCompare(ctx context.Context, ev *ares.MeasuredEvaluator, tech envm.Tech,
 			log.Fatal(runErr)
 		}
 		elapsed := time.Since(start).Seconds()
+		// The encodings share one -checkpoint file: the first campaign
+		// creates it, the later ones append to it instead of truncating
+		// it, and each skips the records of configs it does not run.
+		opt.Resume = true
 		cr := res.Config(label)
 		blast := 0.0
 		if cr.Extra["faults"] > 0 {
@@ -520,26 +526,7 @@ func printRecovery(c *campaign.Campaign) {
 	fmt.Println(line)
 }
 
-// mustStreams splits a comma-separated stream list and validates every
-// name against the streams the chosen encoding actually emits, so a typo
-// like "-ecc rowcnt" fails loudly instead of silently protecting nothing.
-func mustStreams(kind sparse.Kind, flagName, list string) []string {
-	names := splitList(list)
-	valid := core.StreamNames(kind)
-	ok := make(map[string]bool, len(valid))
-	for _, v := range valid {
-		ok[v] = true
-	}
-	for _, n := range names {
-		if !ok[n] {
-			fmt.Fprintf(os.Stderr, "faultsim: %s: unknown stream %q for encoding %v (valid: %s)\n",
-				flagName, n, kind, strings.Join(valid, ", "))
-			os.Exit(2)
-		}
-	}
-	return names
-}
-
+// splitList splits a comma-separated stream list.
 func splitList(s string) []string {
 	if s == "" {
 		return nil

@@ -41,7 +41,7 @@ func main() {
 	capMB := flag.Float64("mb", 4, "capacity in decimal MB")
 	bpc := flag.Int("bpc", 1, "bits per cell")
 	targetName := flag.String("target", "edp", "optimization target: edp|area|latency|energy|leakage")
-	encName := flag.String("encoding", "", "size the array for an encoded model: scale -mb by the encoding's density over a synthetic clustered proxy ("+strings.Join(cliutil.EncodingNames(), "|")+"; empty = raw capacity)")
+	encName := flag.String("encoding", "", "size the array for an encoded model: scale -mb by the encoding's density over a synthetic clustered proxy ("+strings.Join(sparse.KindNames(), "|")+"; empty = raw capacity)")
 	proxySparsity := flag.Float64("sparsity", 0.9, "synthetic proxy sparsity for the -encoding density estimate")
 	pareto := flag.Bool("pareto", false, "print the area/latency/energy Pareto frontier")
 	full := flag.Bool("full", false, "print every organization")
@@ -102,7 +102,7 @@ func main() {
 		Target:       target,
 	}
 	if *encName != "" {
-		kind, err := cliutil.ParseEncoding(*encName)
+		kind, err := sparse.ParseKind(*encName)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nvsweep: %v\n", err)
 			os.Exit(2)
@@ -304,19 +304,13 @@ func encodedDensity(kind sparse.Kind, sparsity float64) (float64, error) {
 			indices[i] = uint8(1 + src.Intn(1<<idxBits-1))
 		}
 	}
-	var enc sparse.Encoding
-	var err error
-	if kind == sparse.Kind24 {
-		// Centroid table for magnitude-based 2-of-4 selection: index 0 is
-		// the pruned zero, the rest spread over [-1, 1].
-		centroids := make([]float32, 1<<idxBits)
-		for i := 1; i < len(centroids); i++ {
-			centroids[i] = float32(i)/float32(len(centroids)-1)*2 - 1
-		}
-		enc, err = sparse.Encode24(indices, rows, cols, idxBits, centroids)
-	} else {
-		enc, err = sparse.Encode(kind, indices, rows, cols, idxBits)
+	// Centroid table (2:4 keeps each group's largest-magnitude weights):
+	// index 0 is the pruned zero, the rest spread over [-1, 1].
+	centroids := make([]float32, 1<<idxBits)
+	for i := 1; i < len(centroids); i++ {
+		centroids[i] = float32(i)/float32(len(centroids)-1)*2 - 1
 	}
+	enc, err := sparse.Encode(kind, indices, rows, cols, idxBits, centroids)
 	if err != nil {
 		return 0, err
 	}

@@ -21,8 +21,8 @@
 // documented in DESIGN.md §15.
 //
 // -smoke runs a self-test instead of serving: bind an ephemeral port,
-// issue one request per endpoint plus a /metrics scrape, drain, and
-// print "smoke ok".
+// issue one request per endpoint (plus a 2:4 evaluate) and a /metrics
+// scrape, drain, and print "smoke ok".
 package main
 
 import (
@@ -115,8 +115,9 @@ func main() {
 }
 
 // runSmoke exercises the full surface end to end on a loopback
-// listener: every trial endpoint answers 200, /metrics scrapes, the
-// drain completes.
+// listener: every trial endpoint answers 200 (evaluate also for a 2:4
+// config with a meta24 override), /metrics scrapes, the drain
+// completes.
 func runSmoke(srv *serve.Server) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -127,10 +128,12 @@ func runSmoke(srv *serve.Server) error {
 	base := "http://" + ln.Addr().String()
 
 	const cfg = `"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"rowcount":{"bpc":3,"ecc":true}}}`
+	const cfg24 = `"config":{"tech":"MLC-CTT","encoding":"2:4","default":{"bpc":3},"overrides":{"meta24":{"bpc":3,"ecc":true}}}`
 	reqs := []struct{ path, body string }{
 		{"/v1/encode", `{"tenant":"smoke",` + cfg + `}`},
 		{"/v1/inject", `{"tenant":"smoke","seed":7,` + cfg + `}`},
 		{"/v1/evaluate", `{"tenant":"smoke","seed":7,` + cfg + `}`},
+		{"/v1/evaluate", `{"tenant":"smoke","seed":7,` + cfg24 + `}`},
 		{"/v1/lifetime", `{"tenant":"smoke","seed":7,` + cfg + `,"lifetime":{"years":8,"scrub_interval_years":4}}`},
 	}
 	for _, r := range reqs {

@@ -68,7 +68,7 @@ func main() {
 	// Storage bill for the safe configuration.
 	var cells, bits int64
 	for _, cl := range ev.Clustered() {
-		enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+		enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
 		costs := ares.Cost(enc, ares.Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync,
 			Default: ares.StreamPolicy{BPC: 3},
 			Overrides: map[string]ares.StreamPolicy{

@@ -19,7 +19,9 @@ package ares
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/crossbar"
@@ -49,8 +51,9 @@ type Config struct {
 	Encoding sparse.Kind
 	// Default applies to streams without an override.
 	Default StreamPolicy
-	// Overrides maps stream names ("values", "colidx", "rowcount",
-	// "bitmask", "idxsync") to specific policies.
+	// Overrides maps stream names to specific policies. A name must be
+	// one of the streams Encoding stores (Encoding.Streams(), e.g.
+	// "colidx" for CSR or "meta24" for 2:4); Validate rejects the rest.
 	Overrides map[string]StreamPolicy
 	// RetentionYears evaluates the configuration after the given storage
 	// age (drift-widened fault rates; 0 = freshly programmed).
@@ -95,7 +98,11 @@ func (c Config) StoreConfig(p StreamPolicy) envm.StoreConfig {
 	return envm.StoreConfig{Tech: c.Tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: c.RetentionYears}
 }
 
-// Validate checks that every referenced policy is feasible on the tech.
+// Validate checks that every referenced policy is feasible on the tech
+// and, on the stored-bit routes, that every override names a stream the
+// encoding stores: an override of any other name would do nothing yet
+// still change the config's identity. It runs once per layer per trial,
+// so it allocates nothing on success.
 func (c Config) Validate() error {
 	check := func(p StreamPolicy) error {
 		if p.BPC == 0 { // perfect-storage sentinel
@@ -106,7 +113,12 @@ func (c Config) Validate() error {
 	if err := check(c.Default); err != nil {
 		return err
 	}
+	streams := c.Encoding.Streams()
 	for name, p := range c.Overrides {
+		if c.Crossbar == nil && !slices.Contains(streams, name) {
+			return fmt.Errorf("ares: override for stream %q, which %v does not store (streams: %s)",
+				name, c.Encoding, strings.Join(streams, ", "))
+		}
 		if err := check(p); err != nil {
 			return fmt.Errorf("ares: stream %q: %w", name, err)
 		}
@@ -372,15 +384,10 @@ func fillCorruption(st *TrialStats, orig, decoded []uint8, centroids []float32) 
 	}
 }
 
-// EncodeLayer encodes a clustered layer under the config's format. An
-// unknown encoding kind (possible when the kind arrives from a CLI flag)
-// is reported as an error. Kind24 is routed through Encode24 with the
-// layer's centroid table so the 2-of-4 projection keeps the largest-
-// magnitude weights (k-means centroids are sorted by value, not
-// magnitude, so the index is not a usable proxy).
+// EncodeLayer encodes a clustered layer under the config's format,
+// handing sparse.Encode the layer's centroid table (2:4 keeps each
+// group's largest-magnitude weights). An unknown encoding kind (possible
+// when the kind arrives from a CLI flag) is reported as an error.
 func EncodeLayer(cl *quant.Clustered, cfg Config) (sparse.Encoding, error) {
-	if cfg.Encoding == sparse.Kind24 {
-		return sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)
-	}
-	return sparse.Encode(cfg.Encoding, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits)
+	return sparse.Encode(cfg.Encoding, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)
 }

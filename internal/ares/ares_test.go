@@ -2,8 +2,10 @@ package ares
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/crossbar"
 	"repro/internal/envm"
 	"repro/internal/quant"
 	"repro/internal/sparse"
@@ -49,6 +51,58 @@ func TestPolicyResolution(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateOverrideStreams: an override must name a stream the
+// encoding stores. Every (kind, stream) pair in the sparse table passes;
+// overrides the encoding never reads are rejected with an error naming
+// the stream, the encoding and the valid streams; the crossbar route
+// stores no streams and ignores overrides.
+func TestValidateOverrideStreams(t *testing.T) {
+	for _, kind := range append(append([]sparse.Kind{}, sparse.Kinds...), sparse.Kind24) {
+		for _, name := range kind.Streams() {
+			cfg := IsolateStream(Config{Tech: envm.CTT, Encoding: kind}, name, StreamPolicy{BPC: 3, ECC: true})
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%v %s: %v", kind, name, err)
+			}
+		}
+	}
+	dead := []struct {
+		kind   sparse.Kind
+		stream string
+	}{
+		{sparse.KindCSR, "bitmask"},
+		{sparse.KindBitMask, "colidx"},
+		{sparse.KindCSR, "meta24"},
+		{sparse.Kind24, "rowcount"},
+	}
+	for _, d := range dead {
+		cfg := IsolateStream(Config{Tech: envm.CTT, Encoding: d.kind}, d.stream, StreamPolicy{BPC: 1})
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%v accepted an override for %q", d.kind, d.stream)
+			continue
+		}
+		for _, want := range append([]string{d.stream, d.kind.String()}, d.kind.Streams()...) {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v/%s: error %q omits %q", d.kind, d.stream, err, want)
+			}
+		}
+		cfg.Crossbar = &crossbar.Config{Rows: 64, Cols: 32}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("crossbar route rejected a storage override: %v", err)
+		}
+	}
+
+	valid := Config{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 3},
+		Overrides: map[string]StreamPolicy{"colidx": {BPC: 3, ECC: true}, "rowcount": {BPC: 1}}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := valid.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per call on success, want 0", allocs)
 	}
 }
 

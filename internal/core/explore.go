@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -48,7 +47,7 @@ func (c Candidate) Label() string {
 
 // PolicyString renders the per-stream policies deterministically.
 func (c Candidate) PolicyString() string {
-	names := StreamNames(c.Kind)
+	names := c.Kind.Streams()
 	parts := make([]string, 0, len(names))
 	for _, n := range names {
 		parts = append(parts, fmt.Sprintf("%s:%s", n, c.Policies[n]))
@@ -185,7 +184,7 @@ func (e *Explorer) Evaluate(tech envm.Tech, kind sparse.Kind, policies map[strin
 // technology (a cell of Figure 6). If no combination is accepted, the
 // lowest-delta candidate is returned with Accepted=false.
 func (e *Explorer) Best(tech envm.Tech, kind sparse.Kind) Candidate {
-	names := StreamNames(kind)
+	names := kind.Streams()
 	choices := PolicyChoices(minInt(3, tech.MaxBitsPerCell))
 	var best, fallback Candidate
 	bestSet, fbSet := false, false
@@ -260,11 +259,6 @@ func (e *Explorer) EncodedLayerBits(c Candidate) []int64 {
 		out[i] = bits
 	}
 	return out
-}
-
-// SortCandidates orders candidates by total cells ascending.
-func SortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(a, b int) bool { return cs[a].TotalCells < cs[b].TotalCells })
 }
 
 func minInt(a, b int) int {

@@ -86,7 +86,7 @@ func (e *Explorer) layerOptions(tech envm.Tech, li int, wShare, sShare, sens flo
 	var opts []LayerOption
 	for _, kind := range sparse.Kinds {
 		lp := e.Profiles[kind][li]
-		names := StreamNames(kind)
+		names := kind.Streams()
 		choices := PolicyChoices(minInt(3, tech.MaxBitsPerCell))
 		assign := make([]PolicyKey, len(names))
 		var walk func(i int)

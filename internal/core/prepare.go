@@ -9,11 +9,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dnn"
 	"repro/internal/quant"
-	"repro/internal/tensor"
 )
 
 // PreparedLayer is one weight layer after model optimization, possibly
@@ -116,13 +113,4 @@ func subsampleRows(cl *quant.Clustered, maxWeights int) *quant.Clustered {
 			cl.Indices[srcRow*cl.Cols:(srcRow+1)*cl.Cols])
 	}
 	return out
-}
-
-// ApplyToMatrix reconstructs a prepared layer's weights into a matrix
-// (full fidelity layers only).
-func (pl PreparedLayer) ApplyToMatrix() (*tensor.Matrix, error) {
-	if pl.Scale != 1 {
-		return nil, fmt.Errorf("core: layer %s is subsampled; cannot reconstruct full weights", pl.Name)
-	}
-	return pl.CL.Decode(), nil
 }

@@ -86,14 +86,7 @@ func (o ProfileOptions) withDefaults() ProfileOptions {
 func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerProfile {
 	opt = opt.withDefaults()
 	cl := pl.CL
-	var enc sparse.Encoding
-	if kind == sparse.Kind24 {
-		// 2:4 selects survivors by centroid magnitude; route the centroid
-		// table through (the generic dispatch has no access to it).
-		enc = sparse.Must(sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
-	} else {
-		enc = sparse.Must(sparse.Encode(kind, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
-	}
+	enc := sparse.Must(sparse.Encode(kind, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
 	lp := LayerProfile{
 		LayerName:   pl.Name,
 		Kind:        kind,
@@ -127,22 +120,4 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// StreamNames returns the canonical structure names of an encoding kind,
-// in stream order.
-func StreamNames(kind sparse.Kind) []string {
-	switch kind {
-	case sparse.KindDense:
-		return []string{"values"}
-	case sparse.KindCSR:
-		return []string{"values", "colidx", "rowcount"}
-	case sparse.KindBitMask:
-		return []string{"bitmask", "values"}
-	case sparse.KindBitMaskIdxSync:
-		return []string{"bitmask", "values", "idxsync"}
-	case sparse.Kind24:
-		return []string{"values", "meta24"}
-	}
-	panic("core: unknown encoding kind")
 }

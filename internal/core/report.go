@@ -108,8 +108,8 @@ func Table2(pm *PreparedModel) Table2Row {
 		total += float64(len(cl.Indices)) * pl.Scale
 
 		pc := float64(cl.RawBits()) * pl.Scale
-		csr := float64(sparse.Must(sparse.Encode(sparse.KindCSR, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits)).SizeBits()) * pl.Scale
-		bm := float64(sparse.Must(sparse.Encode(sparse.KindBitMask, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits)).SizeBits()) * pl.Scale
+		csr := float64(sparse.Must(sparse.Encode(sparse.KindCSR, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)).SizeBits()) * pl.Scale
+		bm := float64(sparse.Must(sparse.Encode(sparse.KindBitMask, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)).SizeBits()) * pl.Scale
 		row.PCMB += pc / 8e6
 		row.CSRMB += csr / 8e6
 		row.BitMaskMB += bm / 8e6

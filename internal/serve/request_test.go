@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +71,25 @@ func TestDecodeRequestLifetime(t *testing.T) {
 	}
 }
 
+// TestDecodeRequest24: 2:4 is reachable over the wire under both of
+// its spellings, with an override for its position metadata.
+func TestDecodeRequest24(t *testing.T) {
+	for _, name := range []string{"2:4", "24"} {
+		in := fmt.Sprintf(`{"config":{"tech":"MLC-CTT","encoding":%q,"default":{"bpc":3},"overrides":{"meta24":{"bpc":2,"ecc":true}}}}`, name)
+		_, cfg, _, err := DecodeRequest(strings.NewReader(in), false)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if cfg.Encoding != sparse.Kind24 {
+			t.Errorf("%s: decoded encoding %v, want 2:4", name, cfg.Encoding)
+		}
+		if p := cfg.Overrides["meta24"]; p.BPC != 2 || !p.ECC {
+			t.Errorf("%s: meta24 override %+v", name, p)
+		}
+	}
+}
+
 func TestDecodeRequestRejects(t *testing.T) {
 	cases := []struct {
 		name, in string
@@ -78,6 +99,13 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"nan retention", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"retention_years":1e999}}`, false, "parsing"},
 		{"negative override", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"values":{"bpc":-2}}}}`, false, "must not be negative"},
 		{"unknown override stream", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"wavelets":{"bpc":1}}}}`, false, "wavelets"},
+		// Overrides for streams the encoding never stores would be dead
+		// config that still changes the config ID.
+		{"csr bitmask override", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"bitmask":{"bpc":1}}}}`, false, `"bitmask"`},
+		{"bitmask colidx override", `{"config":{"tech":"MLC-CTT","encoding":"bitmask","default":{"bpc":3},"overrides":{"colidx":{"bpc":1}}}}`, false, `"colidx"`},
+		{"csr meta24 override", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"meta24":{"bpc":1}}}}`, false, `"meta24"`},
+		{"2:4 rowcount override", `{"config":{"tech":"MLC-CTT","encoding":"2:4","default":{"bpc":3},"overrides":{"rowcount":{"bpc":1}}}}`, false, `"rowcount"`},
+		{"unknown encoding", `{"config":{"tech":"MLC-CTT","encoding":"coo","default":{"bpc":3}}}`, false, "2:4"},
 		{"empty body", ``, false, "parsing"},
 		{"tenant too long", `{"tenant":"` + strings.Repeat("a", 65) + `","config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3}}}`, false, "tenant"},
 		{"scrub interval negative", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3}},"lifetime":{"years":5,"scrub_interval_years":-1}}`, true, "must not be negative"},
@@ -109,6 +137,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"timeout_ms":-1}`), false)
 	f.Add([]byte(`{"config":{"tech":"","encoding":""}}`), true)
 	f.Add([]byte(`null`), false)
+	f.Add([]byte(`{"config":{"tech":"MLC-CTT","encoding":"2:4","default":{"bpc":3},"overrides":{"meta24":{"bpc":3,"ecc":true}}}}`), false)
 	f.Fuzz(func(t *testing.T, data []byte, lifetime bool) {
 		req, cfg, lp, err := DecodeRequest(strings.NewReader(string(data)), lifetime)
 		if err != nil {
@@ -127,6 +156,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if cfg.RetentionYears < 0 {
 			t.Fatalf("accepted retention %g", cfg.RetentionYears)
+		}
+		for name := range cfg.Overrides {
+			if !slices.Contains(cfg.Encoding.Streams(), name) {
+				t.Fatalf("accepted override %q, which %v does not store", name, cfg.Encoding)
+			}
 		}
 		if lifetime {
 			if err := lp.Validate(); err != nil {

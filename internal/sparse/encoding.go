@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/bitstream"
 )
@@ -64,12 +66,67 @@ func (k Kind) String() string {
 // compare all formats name it explicitly.
 var Kinds = []Kind{KindDense, KindCSR, KindBitMask, KindBitMaskIdxSync}
 
+// kindNames maps every accepted encoding spelling (lower case) to its
+// kind: the CLI flag names, the paper labels Kind.String prints, and
+// the "24" alias for 2:4.
+var kindNames = map[string]Kind{
+	"dense":           KindDense,
+	"p+c":             KindDense,
+	"csr":             KindCSR,
+	"bitmask":         KindBitMask,
+	"idxsync":         KindBitMaskIdxSync,
+	"bitmask+idxsync": KindBitMaskIdxSync,
+	"bitm+idxsync":    KindBitMaskIdxSync,
+	"24":              Kind24,
+	"2:4":             Kind24,
+}
+
+// KindNames returns every spelling ParseKind accepts, sorted, for flag
+// help text and error messages.
+func KindNames() []string {
+	names := make([]string, 0, len(kindNames))
+	for n := range kindNames {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// ParseKind resolves an encoding name, case-insensitively and ignoring
+// surrounding spaces. Every Kind.String output parses back to its kind;
+// an unknown name is an error listing every accepted spelling.
+func ParseKind(name string) (Kind, error) {
+	if k, ok := kindNames[strings.ToLower(strings.TrimSpace(name))]; ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("sparse: unknown encoding %q (valid: %s)", name, strings.Join(KindNames(), ", "))
+}
+
+// kindStreams names each kind's stored streams in stream order: the
+// names its encoder gives the bitstreams that Encoding.Streams returns.
+var kindStreams = map[Kind][]string{
+	KindDense:          {"values"},
+	KindCSR:            {"values", "colidx", "rowcount"},
+	KindBitMask:        {"bitmask", "values"},
+	KindBitMaskIdxSync: {"bitmask", "values", "idxsync"},
+	Kind24:             {"values", "meta24"},
+}
+
+// Streams returns the names of the streams an encoding of this kind
+// stores, in stream order (nil for an unknown kind). These are the
+// names a per-stream cell policy may target. The slice is shared:
+// callers must not modify it.
+func (k Kind) Streams() []string { return kindStreams[k] }
+
 // Encode builds the requested encoding for a cluster-index matrix.
-// CSR uses the size-optimal relative index width for the matrix. An
-// unknown kind or an inconsistent shape is reported as an error rather
-// than a panic: encoding kinds and layer shapes arrive from CLI flags
-// and sweep configurations, which callers must be able to reject.
-func Encode(kind Kind, indices []uint8, rows, cols, valueBits int) (Encoding, error) {
+// CSR uses the size-optimal relative index width for the matrix.
+// centroids is the layer's cluster centroid table: 2:4 keeps the two
+// largest-magnitude weights of each group, so Kind24 requires it (a nil
+// table is an error), while the lossless kinds ignore it. An unknown
+// kind or an inconsistent shape is reported as an error rather than a
+// panic: encoding kinds and layer shapes arrive from CLI flags and
+// sweep configurations, which callers must be able to reject.
+func Encode(kind Kind, indices []uint8, rows, cols, valueBits int, centroids []float32) (Encoding, error) {
 	switch kind {
 	case KindDense:
 		return EncodeDense(indices, rows, cols, valueBits)
@@ -84,9 +141,10 @@ func Encode(kind Kind, indices []uint8, rows, cols, valueBits int) (Encoding, er
 	case KindBitMaskIdxSync:
 		return EncodeBitMask(indices, rows, cols, valueBits, BitMaskOptions{IdxSync: true})
 	case Kind24:
-		// Index-value magnitude proxy; callers holding the layer's
-		// centroid table should call Encode24 directly.
-		return Encode24(indices, rows, cols, valueBits, nil)
+		if centroids == nil {
+			return nil, fmt.Errorf("sparse: 2:4 encoding needs the layer's centroid table")
+		}
+		return Encode24(indices, rows, cols, valueBits, centroids)
 	}
 	return nil, fmt.Errorf("sparse: unknown encoding kind %d", int(kind))
 }
@@ -96,7 +154,7 @@ func Encode(kind Kind, indices []uint8, rows, cols, valueBits int) (Encoding, er
 // validated — where an error truly is a programmer bug — mirroring
 // template.Must:
 //
-//	enc := sparse.Must(sparse.Encode(kind, idx, rows, cols, bits))
+//	enc := sparse.Must(sparse.Encode(kind, idx, rows, cols, bits, centroids))
 func Must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

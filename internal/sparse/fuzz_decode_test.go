@@ -98,7 +98,7 @@ func TestEncodeErrorPaths(t *testing.T) {
 	if _, err := EncodeDense(idx, 5, 5, 4); err == nil {
 		t.Error("shape mismatch accepted by EncodeDense")
 	}
-	if _, err := Encode(Kind(99), idx, 3, 4, 4); err == nil {
+	if _, err := Encode(Kind(99), idx, 3, 4, 4, nil); err == nil {
 		t.Error("unknown kind accepted by Encode")
 	}
 	if _, err := CloneEncoding(nil); err == nil {
@@ -109,5 +109,5 @@ func TestEncodeErrorPaths(t *testing.T) {
 			t.Error("Must should panic on error")
 		}
 	}()
-	Must(Encode(Kind(99), idx, 3, 4, 4))
+	Must(Encode(Kind(99), idx, 3, 4, 4, nil))
 }

@@ -30,7 +30,7 @@ func TestDecodersSurviveRandomCorruption(t *testing.T) {
 		idx := randomIndices(12, 40, sparsity, 4, uint64(seed))
 		flips := int(flipSeed%64) + 1
 		for _, kind := range Kinds {
-			enc := Must(Encode(kind, idx, 12, 40, 4))
+			enc := Must(Encode(kind, idx, 12, 40, 4, nil))
 			corruptRandomly(enc, src, flips)
 			dec := enc.Decode()
 			if len(dec) != len(idx) {
@@ -54,7 +54,7 @@ func TestDecodersSurviveTotalGarbage(t *testing.T) {
 	// state.
 	idx := randomIndices(10, 30, 0.5, 4, 3)
 	for _, kind := range Kinds {
-		enc := Must(Encode(kind, idx, 10, 30, 4))
+		enc := Must(Encode(kind, idx, 10, 30, 4, nil))
 		for _, s := range enc.Streams() {
 			for i := 0; i < s.N; i++ {
 				s.Set(i, uint64(1)<<uint(s.ElemBits)-1)
@@ -71,7 +71,7 @@ func TestCloneEncodingIsolation(t *testing.T) {
 	f := func(seed uint16) bool {
 		idx := randomIndices(8, 24, 0.6, 4, uint64(seed))
 		for _, kind := range Kinds {
-			enc := Must(Encode(kind, idx, 8, 24, 4))
+			enc := Must(Encode(kind, idx, 8, 24, 4, nil))
 			clone := Must(CloneEncoding(enc))
 			src := stats.NewSource(uint64(seed) + 5)
 			corruptRandomly(clone, src, 16)

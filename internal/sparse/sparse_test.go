@@ -335,7 +335,7 @@ func TestDenseRoundTrip(t *testing.T) {
 func TestEncodeDispatch(t *testing.T) {
 	idx := randomIndices(8, 16, 0.6, 4, 14)
 	for _, k := range Kinds {
-		enc := Must(Encode(k, idx, 8, 16, 4))
+		enc := Must(Encode(k, idx, 8, 16, 4, nil))
 		if !equalU8(enc.Decode(), idx) {
 			t.Errorf("%v round trip failed", k)
 		}
@@ -362,9 +362,9 @@ func TestSparseEncodingsCompress(t *testing.T) {
 	// At high sparsity both sparse encodings beat dense storage — the
 	// premise of Table 2.
 	idx := randomIndices(64, 256, 0.9, 4, 15)
-	dense := Must(Encode(KindDense, idx, 64, 256, 4)).SizeBits()
-	csr := Must(Encode(KindCSR, idx, 64, 256, 4)).SizeBits()
-	bm := Must(Encode(KindBitMask, idx, 64, 256, 4)).SizeBits()
+	dense := Must(Encode(KindDense, idx, 64, 256, 4, nil)).SizeBits()
+	csr := Must(Encode(KindCSR, idx, 64, 256, 4, nil)).SizeBits()
+	bm := Must(Encode(KindBitMask, idx, 64, 256, 4, nil)).SizeBits()
 	if csr >= dense {
 		t.Errorf("CSR %d >= dense %d at 90%% sparsity", csr, dense)
 	}

@@ -134,8 +134,8 @@ func Test24LeftmostTieBreak(t *testing.T) {
 // conforming, so re-encoding its decode is the identity from then on.
 func Test24RoundTripConforming(t *testing.T) {
 	idx := randomIndices(20, 50, 0.7, 4, 21)
-	first := Must(Encode(Kind24, idx, 20, 50, 4)).Decode()
-	second := Must(Encode(Kind24, first, 20, 50, 4)).Decode()
+	first := Must(Encode(Kind24, idx, 20, 50, 4, testCentroids(4))).Decode()
+	second := Must(Encode(Kind24, first, 20, 50, 4, testCentroids(4))).Decode()
 	if !equalU8(first, second) {
 		t.Error("projection is not idempotent")
 	}
