@@ -29,7 +29,7 @@ FUZZTIME ?= 10s
 # package rather than aggregate so an untested package cannot hide
 # behind a well-tested one.
 COVER_FLOOR ?= 70
-COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/dnn
+COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/dnn internal/core
 
 .PHONY: all check build test race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
@@ -59,11 +59,13 @@ race: vet
 
 # The telemetry registry, the instrumented campaign engine, the replica
 # pool, the Forwarders that share one model across replicas, the fleet
-# lease protocol, and the parallel tensor kernels are the most
-# concurrency-sensitive pieces; they get a dedicated race pass in tier 1
-# so a data race cannot land even when the full race tier is skipped.
+# lease protocol, the parallel tensor kernels, and the explorer's
+# profiling pool (NewExplorer's workers fill shared profile slices) are
+# the most concurrency-sensitive pieces; they get a dedicated race pass
+# in tier 1 so a data race cannot land even when the full race tier is
+# skipped.
 race-fast:
-	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/dnn/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
+	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/dnn/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/... ./internal/core/...
 
 # The server's own end-to-end smoke: train, serve every endpoint on an
 # ephemeral port, scrape /metrics, drain.

@@ -188,19 +188,27 @@ type StreamCost struct {
 // TotalBits returns data + parity bits.
 func (sc StreamCost) TotalBits() int64 { return sc.DataBits + sc.ParityBits }
 
+// StreamCostOf is the storage bill of one structure of dataBits data
+// bits under policy p: ECC parity at SEC-DED blocks of blockBits data
+// bits (0 = ECCDataBits), and the cells holding data plus parity.
+func StreamCostOf(name string, dataBits int64, p StreamPolicy, blockBits int) StreamCost {
+	sc := StreamCost{Name: name, BPC: p.BPC, ECC: p.ECC, DataBits: dataBits}
+	if p.ECC {
+		if blockBits <= 0 {
+			blockBits = ECCDataBits
+		}
+		sc.ParityBits = ecc.NewBlockCode(blockBits).ParityBits(int(dataBits))
+	}
+	sc.Cells = envm.CellsFor(sc.TotalBits(), p.BPC)
+	return sc
+}
+
 // Cost computes the per-stream storage bill for an encoded layer under
 // cfg: data bits, ECC parity bits, and total cells.
 func Cost(enc sparse.Encoding, cfg Config) []StreamCost {
 	var out []StreamCost
 	for _, s := range enc.Streams() {
-		p := cfg.PolicyFor(s.Name)
-		sc := StreamCost{Name: s.Name, BPC: p.BPC, ECC: p.ECC, DataBits: s.SizeBits()}
-		if p.ECC {
-			code := ecc.NewBlockCode(cfg.BlockBits())
-			sc.ParityBits = code.ParityBits(int(sc.DataBits))
-		}
-		sc.Cells = envm.CellsFor(sc.TotalBits(), p.BPC)
-		out = append(out, sc)
+		out = append(out, StreamCostOf(s.Name, s.SizeBits(), cfg.PolicyFor(s.Name), cfg.BlockBits()))
 	}
 	return out
 }

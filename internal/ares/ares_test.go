@@ -279,10 +279,35 @@ func TestSensitivityOrdering(t *testing.T) {
 	}
 }
 
+// surrogateLayer scores one clustered layer under cfg from the surrogate
+// primitives: exact costs, expected uncorrectable events per stream, and
+// probed per-event damage.
+func surrogateLayer(t *testing.T, cl *quant.Clustered, cfg Config, trials int, seed uint64) LayerDamage {
+	t.Helper()
+	enc, err := EncodeLayer(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := LayerDamage{Costs: Cost(enc, cfg), Weights: len(cl.Indices)}
+	for _, idx := range cl.Indices {
+		w := float64(cl.Centroids[idx])
+		ld.SignalSS += w * w
+	}
+	for i, s := range enc.Streams() {
+		p := cfg.PolicyFor(s.Name)
+		ld.Streams = append(ld.Streams, StreamDamage{
+			Name:      s.Name,
+			LambdaEff: LambdaEff(s.SizeBits(), cfg.StoreConfig(p), p.ECC, 0),
+			Damage:    ProbeStreamDamage(enc, i, cl, p, trials, seed+uint64(i)),
+		})
+	}
+	return ld
+}
+
 func TestEvaluateLayerShape(t *testing.T) {
 	cl := testLayer(64, 128, 0.7, 4, 8)
 	cfg := Config{Tech: envm.CTT, Encoding: sparse.KindBitMask, Default: StreamPolicy{BPC: 3}}
-	ld := EvaluateLayer(cl, cfg, EvalOptions{Seed: 1})
+	ld := surrogateLayer(t, cl, cfg, DefaultProbeTrials, 1)
 	if len(ld.Streams) != 2 || len(ld.Costs) != 2 {
 		t.Fatalf("bitmask should yield 2 streams, got %d", len(ld.Streams))
 	}
@@ -298,10 +323,10 @@ func TestEvaluateLayerShape(t *testing.T) {
 	if mask == nil || values == nil {
 		t.Fatal("stream names missing")
 	}
-	if !mask.Catastrophic {
+	if !mask.Catastrophic() {
 		t.Errorf("unprotected mask should be catastrophic: dMismatch=%v", mask.DMismatch)
 	}
-	if values.Catastrophic {
+	if values.Catastrophic() {
 		t.Errorf("value stream should not cascade: dMismatch=%v", values.DMismatch)
 	}
 	if mask.LambdaEff <= 0 || values.LambdaEff <= 0 {
@@ -312,11 +337,13 @@ func TestEvaluateLayerShape(t *testing.T) {
 func TestEvaluateLayerIdxSyncReducesDamage(t *testing.T) {
 	cl := testLayer(128, 256, 0.6, 4, 9)
 	mk := func(kind sparse.Kind) float64 {
-		cfg := Config{Tech: envm.CTT, Encoding: kind, Default: StreamPolicy{BPC: 3}}
-		ld := EvaluateLayer(cl, cfg, EvalOptions{Seed: 2, DamageTrials: 10})
-		for _, sd := range ld.Streams {
-			if sd.Name == "bitmask" {
-				return sd.DMismatch
+		enc, err := EncodeLayer(cl, Config{Encoding: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range enc.Streams() {
+			if s.Name == "bitmask" {
+				return ProbeStreamDamage(enc, i, cl, StreamPolicy{BPC: 3}, 10, 2).DMismatch
 			}
 		}
 		t.Fatal("no bitmask stream")
@@ -332,13 +359,16 @@ func TestEvaluateLayerIdxSyncReducesDamage(t *testing.T) {
 func TestLambdaEffECCReduction(t *testing.T) {
 	sc := envm.StoreConfig{Tech: envm.CTT, BPC: 3}
 	bits := int64(1 << 20)
-	raw := lambdaEff(bits, sc, false)
-	corrected := lambdaEff(bits, sc, true)
+	raw := LambdaEff(bits, sc, false, 0)
+	corrected := LambdaEff(bits, sc, true, 0)
 	if corrected >= raw/10 {
 		t.Errorf("ECC lambda %.4g not << raw %.4g", corrected, raw)
 	}
 	if corrected <= 0 {
 		t.Error("residual double-fault rate should be positive at MLC3")
+	}
+	if LambdaEff(bits, sc, true, ECCDataBits) != corrected {
+		t.Error("block size 0 should mean ECCDataBits")
 	}
 }
 
@@ -349,7 +379,7 @@ func TestAggregateAndExpectedDelta(t *testing.T) {
 		cfg := Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync, Default: StreamPolicy{BPC: bpc}}
 		var lds []LayerDamage
 		for i, cl := range []*quant.Clustered{cl1, cl2} {
-			lds = append(lds, EvaluateLayer(cl, cfg, EvalOptions{Seed: uint64(i + 1)}))
+			lds = append(lds, surrogateLayer(t, cl, cfg, DefaultProbeTrials, uint64(i+1)))
 		}
 		md := Aggregate(lds)
 		return md.ExpectedDeltaError(1.0, 0.8)
@@ -364,14 +394,14 @@ func TestAggregateAndExpectedDelta(t *testing.T) {
 	}
 }
 
+// TestAcceptCriterion checks the iso-training-noise bound: tiny linear
+// corruption passes a 0.001 bound, heavy structural corruption does not.
 func TestAcceptCriterion(t *testing.T) {
-	md := ModelDamage{LinearNSR: 0.0001}
-	md.TotalWeights = 100
-	if !md.Accept(1, 0.8, 0.001) {
-		t.Error("tiny corruption should be accepted")
+	const bound = 0.001
+	if d := (ModelDamage{LinearNSR: 0.0001, TotalWeights: 100}).ExpectedDeltaError(1, 0.8); d > bound {
+		t.Errorf("tiny corruption delta %.5g above bound %v", d, bound)
 	}
-	bad := ModelDamage{LinearStruct: 0.5, TotalWeights: 100}
-	if bad.Accept(1, 0.8, 0.001) {
-		t.Error("huge corruption accepted")
+	if d := (ModelDamage{LinearStruct: 0.5, TotalWeights: 100}).ExpectedDeltaError(1, 0.8); d <= bound {
+		t.Errorf("huge corruption delta %.5g within bound %v", d, bound)
 	}
 }

@@ -114,38 +114,3 @@ func TestMeasuredSLCIsSafe(t *testing.T) {
 		t.Errorf("SLC storage delta=%.4f; should be ~0", res.MeanDeltaErr)
 	}
 }
-
-func TestSurrogateOrderingMatchesMeasured(t *testing.T) {
-	// Calibration check (DESIGN.md section 6): the surrogate must rank
-	// configurations in the same order as real measured inference.
-	ev := getMeasured(t)
-	configs := []Config{
-		{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 1}},
-		{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 3, ECC: true}},
-		{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 3}},
-	}
-	var measured, surrogate []float64
-	sens := Sensitivity("TinyCNN")
-	headroom := Headroom(10, ev.BaselineErr)
-	for _, cfg := range configs {
-		measured = append(measured, ev.EvalConfig(cfg, 6, 21).MeanDeltaErr)
-		var lds []LayerDamage
-		for i, cl := range ev.Clustered() {
-			lds = append(lds, EvaluateLayer(cl, cfg, EvalOptions{Seed: uint64(i + 1)}))
-		}
-		surrogate = append(surrogate, Aggregate(lds).ExpectedDeltaError(sens, headroom))
-	}
-	// SLC < ECC-protected MLC3 < raw MLC3 in both rankings.
-	for _, vals := range [][]float64{measured, surrogate} {
-		if !(vals[0] <= vals[1]+1e-9 && vals[1] <= vals[2]+1e-9) {
-			t.Errorf("ordering violated: %v (measured=%v surrogate=%v)", vals, measured, surrogate)
-		}
-	}
-	// Raw MLC3 must be clearly bad in both.
-	if measured[2] < 0.02 {
-		t.Errorf("measured raw MLC3 delta %.4f unexpectedly benign", measured[2])
-	}
-	if surrogate[2] < 0.02 {
-		t.Errorf("surrogate raw MLC3 delta %.4f unexpectedly benign", surrogate[2])
-	}
-}

@@ -50,7 +50,7 @@ func Aggregate(layers []LayerDamage) ModelDamage {
 			if sd.LambdaEff == 0 {
 				continue
 			}
-			if sd.Catastrophic {
+			if sd.Catastrophic() {
 				md.CatLambda += sd.LambdaEff
 				catStructSum += sd.LambdaEff * sd.DStruct * wShare
 				catNSRSum += sd.LambdaEff * sd.DNSR * sShare
@@ -78,11 +78,4 @@ func (md ModelDamage) ExpectedDeltaError(sens, headroom float64) float64 {
 	pCat := 1 - math.Exp(-md.CatLambda)
 	cat := DeltaError(sens, headroom, md.LinearNSR+md.CatNSR, md.LinearStruct+md.CatStruct)
 	return (1-pCat)*linear + pCat*cat
-}
-
-// Accept reports whether the configuration stays within the
-// iso-training-noise bound (the paper's acceptance criterion: no loss of
-// accuracy beyond training noise).
-func (md ModelDamage) Accept(sens, headroom, bound float64) bool {
-	return md.ExpectedDeltaError(sens, headroom) <= bound
 }

@@ -24,8 +24,9 @@ import (
 // corruption (sparsity-pattern destruction from misalignment) more
 // heavily than value drift. The constants are calibrated against (a) the
 // measured TinyCNN/LeNet behaviour and (b) the paper's reported safe
-// bits-per-cell decisions (see DESIGN.md section 6 and the calibration
-// test in surrogate_test.go).
+// bits-per-cell decisions (see DESIGN.md section 6; the calibration
+// test is TestSurrogateOrderingMatchesMeasured in internal/core, which
+// scores the explorer's production path against measured inference).
 
 // StructWeight is the relative impact of structurally corrupted weights
 // versus unit value-NSR.
@@ -80,31 +81,40 @@ func DeltaError(sens, headroom, valueNSR, structFrac float64) float64 {
 	return headroom * (1 - math.Exp(-x))
 }
 
+// Damage is the corruption one fault event causes in a stream, measured
+// by forcing faults and decoding (ProbeStreamDamage).
+type Damage struct {
+	// DStruct is the structural corruption per event, as a fraction of
+	// the layer's weights.
+	DStruct float64
+	// DNSR is the value noise-to-signal per event (the layer's signal).
+	DNSR float64
+	// DMismatch is the fraction of the layer's weights whose decoded
+	// index differs per event — the cascade detector: a misalignment
+	// event scrambles a large fraction in place.
+	DMismatch float64
+}
+
+// Catastrophic reports whether a single event is a cascade: it scrambles
+// enough of the layer's weight indices that its damage saturates, so the
+// surrogate handles it as a rare event rather than linearly.
+func (d Damage) Catastrophic() bool { return d.DMismatch >= 0.02 }
+
+// DefaultProbeTrials is the number of forced-fault probes per stream and
+// policy when the caller does not choose one.
+const DefaultProbeTrials = 6
+
 // StreamDamage characterizes one stored structure's fault exposure: how
 // many uncorrectable fault events to expect, and how much corruption a
-// single event causes (measured by forcing faults and decoding).
+// single event causes.
 type StreamDamage struct {
 	Name string
 	// LambdaEff is the expected number of uncorrectable fault events over
 	// the full structure (after ECC, if configured).
 	LambdaEff float64
-	// DStruct is the structural corruption per event, as a fraction of
-	// this layer's weights.
-	DStruct float64
-	// DNSR is the value noise-to-signal per event (this layer's signal).
-	DNSR float64
-	// DMismatch is the fraction of this layer's weights whose decoded
-	// index differs per event — the cascade detector: a misalignment
-	// event scrambles a large fraction in place.
-	DMismatch float64
-	// Catastrophic marks single events whose damage saturates (cascades).
-	Catastrophic bool
+	// Damage is the corruption of one event at the layer's full scale.
+	Damage
 }
-
-// catastrophicThreshold: a single fault corrupting more than this
-// fraction of a layer's weight indices is a cascade, handled as a rare
-// event rather than linearly.
-const catastrophicThreshold = 0.02
 
 // LayerDamage is the full surrogate input for one layer.
 type LayerDamage struct {
@@ -116,66 +126,14 @@ type LayerDamage struct {
 	SignalSS float64
 }
 
-// EvalOptions tunes the damage estimator.
-type EvalOptions struct {
-	// DamageTrials is the number of forced-fault probes per stream
-	// (default 6).
-	DamageTrials int
-	// Seed drives probe placement.
-	Seed uint64
-}
-
-func (o EvalOptions) withDefaults() EvalOptions {
-	if o.DamageTrials == 0 {
-		o.DamageTrials = 6
-	}
-	return o
-}
-
-// EvaluateLayer measures the fault exposure of one clustered layer under
-// cfg: exact storage costs, per-stream expected fault events, and
-// per-event damage measured by forcing faults into cloned streams and
-// decoding.
-func EvaluateLayer(cl *quant.Clustered, cfg Config, opt EvalOptions) LayerDamage {
-	opt = opt.withDefaults()
-	// Exploration configs enumerate known kinds over layers produced by
-	// quant.Cluster, so an encode failure here is a programmer error.
-	enc := sparse.Must(EncodeLayer(cl, cfg))
-	ld := LayerDamage{
-		Costs:   Cost(enc, cfg),
-		Weights: len(cl.Indices),
-	}
-	for _, idx := range cl.Indices {
-		w := float64(cl.Centroids[idx])
-		ld.SignalSS += w * w
-	}
-	src := stats.NewSource(opt.Seed)
-	for i, s := range enc.Streams() {
-		p := cfg.PolicyFor(s.Name)
-		sd := StreamDamage{Name: s.Name}
-		if p.BPC == 0 {
-			ld.Streams = append(ld.Streams, sd)
-			continue
-		}
-		sc := cfg.StoreConfig(p)
-		sd.LambdaEff = lambdaEff(s.SizeBits(), sc, p.ECC)
-		sd.DStruct, sd.DNSR, sd.DMismatch = probeDamage(enc, i, cl, cfg, p, opt.DamageTrials, src.Fork(uint64(i)+1))
-		sd.Catastrophic = sd.DMismatch >= catastrophicThreshold
-		ld.Streams = append(ld.Streams, sd)
-	}
-	return ld
-}
-
-// LambdaEff exposes the expected-uncorrectable-event model for external
-// explorers (internal/core) that combine per-stream profiles themselves.
-func LambdaEff(bits int64, sc envm.StoreConfig, eccOn bool) float64 {
-	return lambdaEff(bits, sc, eccOn)
-}
-
-// LambdaEffWithBlock is LambdaEff at an explicit SEC-DED data-block size
-// (0 = ECCDataBits) — the mitigation planner's knob: shorter blocks trade
-// parity overhead for a smaller >=2-faults-per-block residual.
-func LambdaEffWithBlock(bits int64, sc envm.StoreConfig, eccOn bool, blockBits int) float64 {
+// LambdaEff returns the expected number of uncorrectable fault events
+// for a structure of the given size. Without ECC every cell fault is an
+// event. With ECC, single faults per SEC-DED block of blockBits data
+// bits (0 = ECCDataBits) are corrected; the residual events are blocks
+// with >= 2 faults (Poisson tail), each counted as one event (of roughly
+// double damage, folded into the probe, which forces two faults for ECC
+// streams). Shorter blocks trade parity overhead for a smaller residual.
+func LambdaEff(bits int64, sc envm.StoreConfig, eccOn bool, blockBits int) float64 {
 	p := sc.FaultMap().TotalRate()
 	cells := float64(envm.CellsFor(bits, sc.BPC))
 	if !eccOn {
@@ -196,38 +154,25 @@ func LambdaEffWithBlock(bits int64, sc envm.StoreConfig, eccOn bool, blockBits i
 }
 
 // ProbeStreamDamage measures the per-event corruption of one stream of an
-// encoded layer under the given policy by forcing fault events and
-// decoding (see probeDamage). Damage is tech-independent: it depends only
-// on the encoding, the bits-per-cell grouping, and the level mapping.
-func ProbeStreamDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p StreamPolicy, trials int, seed uint64) (dStruct, dNSR, dMismatch float64) {
-	return probeDamage(enc, streamIdx, cl, Config{}, p, trials, stats.NewSource(seed))
-}
-
-// lambdaEff returns the expected number of uncorrectable fault events
-// for a structure of the given size. Without ECC every cell fault is an
-// event. With ECC, single faults per 4KB block are corrected; the
-// residual events are blocks with >= 2 faults (Poisson tail), each
-// counted as one event (of roughly double damage, folded into the probe
-// which forces two faults for ECC streams).
-func lambdaEff(bits int64, sc envm.StoreConfig, eccOn bool) float64 {
-	return LambdaEffWithBlock(bits, sc, eccOn, ECCDataBits)
-}
-
-// probeDamage forces fault events into clones of the encoding and
-// measures the resulting corruption, averaged over trials. For
-// ECC-protected streams the event is two faults in one block (the
-// uncorrectable case); otherwise a single cell fault.
-func probeDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, cfg Config, p StreamPolicy, trials int, src *stats.Source) (dStruct, dNSR, dMismatch float64) {
+// encoded layer under the given policy by forcing fault events into
+// clones of the encoding and decoding, averaged over trials. For
+// ECC-protected streams the event is two faults in one ECCDataBits block
+// (the uncorrectable case); otherwise a single cell fault. Damage is
+// tech-independent: it depends only on the encoding, the bits-per-cell
+// grouping, and the level mapping.
+func ProbeStreamDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p StreamPolicy, trials int, seed uint64) Damage {
+	src := stats.NewSource(seed)
 	// Reference = the pristine decode: identical to cl.Indices for the
 	// lossless kinds, the projected indices for 2:4 — so the probe
 	// measures fault damage only, never static projection loss.
 	ref := enc.Decode()
+	var d Damage
 	for t := 0; t < trials; t++ {
 		clone := sparse.Must(sparse.CloneEncoding(enc))
 		s := clone.Streams()[streamIdx]
 		cells := int(envm.CellsFor(s.SizeBits(), p.BPC))
 		if cells == 0 {
-			return 0, 0, 0
+			return Damage{}
 		}
 		if p.ECC {
 			code := ecc.NewBlockCode(ECCDataBits)
@@ -259,12 +204,12 @@ func probeDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, cfg Co
 		decoded := clone.Decode()
 		var st TrialStats
 		fillCorruption(&st, ref, decoded, cl.Centroids)
-		dStruct += st.StructFrac
-		dNSR += st.ValueNSR
-		dMismatch += st.Mismatch
+		d.DStruct += st.StructFrac
+		d.DNSR += st.ValueNSR
+		d.DMismatch += st.Mismatch
 	}
 	n := float64(trials)
-	return dStruct / n, dNSR / n, dMismatch / n
+	return Damage{DStruct: d.DStruct / n, DNSR: d.DNSR / n, DMismatch: d.DMismatch / n}
 }
 
 // forceFault moves one cell's stored level to an adjacent level,

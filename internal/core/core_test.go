@@ -324,3 +324,35 @@ func TestWithRetentionSharesProfilesAndDegrades(t *testing.T) {
 		t.Error("WithRetention mutated the original explorer")
 	}
 }
+
+func TestEvaluatePanicsOnMissingProbe(t *testing.T) {
+	// A profile that never probed raw MLC3 on colidx must not score that
+	// policy as harmless: the builder refuses instead of reading a zero
+	// damage value.
+	_, ex := getLeNetExplorer(t)
+	lps := append([]LayerProfile(nil), ex.Profiles[sparse.KindCSR]...)
+	lp := lps[0]
+	lp.Streams = append([]StreamProfile(nil), lp.Streams...)
+	for i, sp := range lp.Streams {
+		if sp.Name != "colidx" {
+			continue
+		}
+		probes := make(map[PolicyKey]ares.Damage, len(sp.Probes))
+		for k, d := range sp.Probes {
+			probes[k] = d
+		}
+		delete(probes, PolicyKey{BPC: 3})
+		lp.Streams[i].Probes = probes
+	}
+	lps[0] = lp
+	trimmed := &Explorer{PM: ex.PM, Profiles: map[sparse.Kind][]LayerProfile{sparse.KindCSR: lps}, Opt: ex.Opt}
+
+	raw := map[string]ares.StreamPolicy{"values": {BPC: 3}, "colidx": {BPC: 3}, "rowcount": {BPC: 3}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Evaluate scored a policy with no probe")
+		}
+	}()
+	c := trimmed.Evaluate(envm.CTT, sparse.KindCSR, raw)
+	t.Errorf("got candidate with delta %.5g", c.DeltaErr)
+}

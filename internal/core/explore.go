@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/ares"
-	"repro/internal/ecc"
 	"repro/internal/envm"
 	"repro/internal/sparse"
 )
@@ -35,14 +34,17 @@ func (c Candidate) TotalBits() int64 { return c.TotalDataBits + c.TotalParityBit
 
 // Label renders the candidate like the paper's tables ("BitM+IdxSync",
 // "CSR+ECC", ...).
-func (c Candidate) Label() string {
-	name := c.Kind.String()
-	for _, p := range c.Policies {
+func (c Candidate) Label() string { return label(c.Kind, c.Policies) }
+
+// label names an encoding with its policies: the kind, plus "+ECC" when
+// any stream is protected.
+func label(kind sparse.Kind, policies map[string]ares.StreamPolicy) string {
+	for _, p := range policies {
 		if p.ECC {
-			return name + "+ECC"
+			return kind.String() + "+ECC"
 		}
 	}
-	return name
+	return kind.String()
 }
 
 // PolicyString renders the per-stream policies deterministically.
@@ -116,58 +118,60 @@ func (e *Explorer) WithRetention(years float64) *Explorer {
 	return &Explorer{PM: e.PM, Profiles: e.Profiles, Opt: opt}
 }
 
+// layerDamage is the surrogate input for one profiled layer on tech at
+// the given storage age, with each stream stored under its policy:
+// exact full-scale costs, expected uncorrectable events per stream, and
+// the probed per-event damage. Point damage is diluted to full scale;
+// cascades are not. It panics when a stream has no policy or no probe
+// for its policy — scoring such a stream as harmless would accept
+// configurations nobody measured.
+func layerDamage(lp LayerProfile, tech envm.Tech, years float64, policies map[string]ares.StreamPolicy) ares.LayerDamage {
+	ld := ares.LayerDamage{
+		Weights:  int(lp.FullWeights),
+		SignalSS: lp.SubSignalSS * lp.Scale,
+	}
+	for _, sp := range lp.Streams {
+		p, ok := policies[sp.Name]
+		if !ok {
+			panic(fmt.Sprintf("core: no policy for stream %q", sp.Name))
+		}
+		d, ok := sp.Probes[PolicyKey{BPC: p.BPC, ECC: p.ECC}]
+		if !ok {
+			panic(fmt.Sprintf("core: layer %s stream %q has no probe for policy %v", lp.LayerName, sp.Name, p))
+		}
+		if !d.Catastrophic() && lp.Scale > 1 {
+			// Point damage dilutes at full scale (the event corrupts a
+			// fixed number of weights, not a fixed fraction). Dilution
+			// only lowers DMismatch, so the result stays non-catastrophic.
+			d.DStruct /= lp.Scale
+			d.DNSR /= lp.Scale
+			d.DMismatch /= lp.Scale
+		}
+		sc := envm.StoreConfig{Tech: tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: years}
+		ld.Costs = append(ld.Costs, ares.StreamCostOf(sp.Name, sp.FullDataBits, p, 0))
+		ld.Streams = append(ld.Streams, ares.StreamDamage{
+			Name:      sp.Name,
+			LambdaEff: ares.LambdaEff(sp.FullDataBits, sc, p.ECC, 0),
+			Damage:    d,
+		})
+	}
+	return ld
+}
+
 // Evaluate scores one candidate: exact storage cost plus the surrogate
 // expected error delta, against the model's error bound.
 func (e *Explorer) Evaluate(tech envm.Tech, kind sparse.Kind, policies map[string]ares.StreamPolicy) Candidate {
 	cand := Candidate{
 		Model: e.PM.Model.Name, Tech: tech, Kind: kind, Policies: policies,
 	}
-	code := ecc.NewBlockCode(ares.ECCDataBits)
 	var lds []ares.LayerDamage
 	for _, lp := range e.Profiles[kind] {
-		ld := ares.LayerDamage{
-			Weights:  int(lp.FullWeights),
-			SignalSS: lp.SubSignalSS * lp.Scale,
-		}
-		for _, sp := range lp.Streams {
-			p, ok := policies[sp.Name]
-			if !ok {
-				panic(fmt.Sprintf("core: no policy for stream %q", sp.Name))
-			}
-			key := PolicyKey{BPC: p.BPC, ECC: p.ECC}
-			probe := sp.Probes[key]
-
-			cost := ares.StreamCost{Name: sp.Name, BPC: p.BPC, ECC: p.ECC, DataBits: sp.FullDataBits}
-			if p.ECC {
-				cost.ParityBits = code.ParityBits(int(sp.FullDataBits))
-			}
-			cost.Cells = envm.CellsFor(cost.TotalBits(), p.BPC)
-			ld.Costs = append(ld.Costs, cost)
-
-			sc := envm.StoreConfig{Tech: tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: e.Opt.RetentionYears}
-			sd := ares.StreamDamage{
-				Name:      sp.Name,
-				LambdaEff: ares.LambdaEff(sp.FullDataBits, sc, p.ECC),
-				DStruct:   probe.DStruct,
-				DNSR:      probe.DNSR,
-				DMismatch: probe.DMismatch,
-			}
-			sd.Catastrophic = probe.Catastrophic()
-			if !sd.Catastrophic && lp.Scale > 1 {
-				// Point damage dilutes at full scale (the event corrupts a
-				// fixed number of weights, not a fixed fraction).
-				sd.DStruct /= lp.Scale
-				sd.DNSR /= lp.Scale
-				sd.DMismatch /= lp.Scale
-			}
-			ld.Streams = append(ld.Streams, sd)
-
+		ld := layerDamage(lp, tech, e.Opt.RetentionYears, policies)
+		for _, cost := range ld.Costs {
 			cand.TotalDataBits += cost.DataBits
 			cand.TotalParityBits += cost.ParityBits
 			cand.TotalCells += cost.Cells
-			if p.BPC > cand.MaxBPC {
-				cand.MaxBPC = p.BPC
-			}
+			cand.MaxBPC = max(cand.MaxBPC, cost.BPC)
 		}
 		lds = append(lds, ld)
 	}
@@ -180,15 +184,13 @@ func (e *Explorer) Evaluate(tech envm.Tech, kind sparse.Kind, policies map[strin
 	return cand
 }
 
-// Best finds the minimal-cell accepted candidate for one encoding on one
-// technology (a cell of Figure 6). If no combination is accepted, the
-// lowest-delta candidate is returned with Accepted=false.
-func (e *Explorer) Best(tech envm.Tech, kind sparse.Kind) Candidate {
+// eachPolicy calls fn with every per-stream policy assignment of kind on
+// tech — each stream at 1..min(maxProbedBPC, tech.MaxBitsPerCell) bits
+// per cell, with and without ECC — in a fixed order, the first stream
+// varying slowest. Every call gets a fresh map.
+func eachPolicy(tech envm.Tech, kind sparse.Kind, fn func(map[string]ares.StreamPolicy)) {
 	names := kind.Streams()
-	choices := PolicyChoices(minInt(3, tech.MaxBitsPerCell))
-	var best, fallback Candidate
-	bestSet, fbSet := false, false
-
+	choices := PolicyChoices(min(maxProbedBPC, tech.MaxBitsPerCell))
 	assign := make([]PolicyKey, len(names))
 	var walk func(i int)
 	walk = func(i int) {
@@ -197,15 +199,7 @@ func (e *Explorer) Best(tech envm.Tech, kind sparse.Kind) Candidate {
 			for j, n := range names {
 				policies[n] = assign[j].Policy()
 			}
-			c := e.Evaluate(tech, kind, policies)
-			if c.Accepted {
-				if !bestSet || c.TotalCells < best.TotalCells {
-					best, bestSet = c, true
-				}
-			}
-			if !fbSet || c.DeltaErr < fallback.DeltaErr {
-				fallback, fbSet = c, true
-			}
+			fn(policies)
 			return
 		}
 		for _, key := range choices {
@@ -214,6 +208,25 @@ func (e *Explorer) Best(tech envm.Tech, kind sparse.Kind) Candidate {
 		}
 	}
 	walk(0)
+}
+
+// Best finds the minimal-cell accepted candidate for one encoding on one
+// technology (a cell of Figure 6). If no combination is accepted, the
+// lowest-delta candidate is returned with Accepted=false.
+func (e *Explorer) Best(tech envm.Tech, kind sparse.Kind) Candidate {
+	var best, fallback Candidate
+	bestSet, fbSet := false, false
+	eachPolicy(tech, kind, func(policies map[string]ares.StreamPolicy) {
+		c := e.Evaluate(tech, kind, policies)
+		if c.Accepted {
+			if !bestSet || c.TotalCells < best.TotalCells {
+				best, bestSet = c, true
+			}
+		}
+		if !fbSet || c.DeltaErr < fallback.DeltaErr {
+			fallback, fbSet = c, true
+		}
+	})
 	if bestSet {
 		return best
 	}
@@ -242,30 +255,15 @@ func (e *Explorer) BestOverall(tech envm.Tech) Candidate {
 }
 
 // EncodedLayerBits returns the per-weight-layer stored bits (data +
-// parity) of a candidate, for the NVDLA workload model.
+// parity) of a candidate this explorer produced, for the NVDLA workload
+// model.
 func (e *Explorer) EncodedLayerBits(c Candidate) []int64 {
-	code := ecc.NewBlockCode(ares.ECCDataBits)
 	lps := e.Profiles[c.Kind]
 	out := make([]int64, len(lps))
 	for i, lp := range lps {
-		var bits int64
-		for _, sp := range lp.Streams {
-			p := c.Policies[sp.Name]
-			bits += sp.FullDataBits
-			if p.ECC {
-				bits += code.ParityBits(int(sp.FullDataBits))
-			}
-		}
-		out[i] = bits
+		out[i] = ares.TotalBits(layerDamage(lp, c.Tech, e.Opt.RetentionYears, c.Policies).Costs)
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AreaBenefit returns the cell-count ratio of the naive baseline — a

@@ -14,6 +14,10 @@ type PolicyKey struct {
 // Policy converts the key to an ares policy.
 func (k PolicyKey) Policy() ares.StreamPolicy { return ares.StreamPolicy{BPC: k.BPC, ECC: k.ECC} }
 
+// maxProbedBPC is the densest bits-per-cell the search probes and
+// enumerates: MLC3, the densest cell in the evaluated set.
+const maxProbedBPC = 3
+
 // PolicyChoices enumerates the per-stream search space: 1..maxBPC bits
 // per cell, each with and without ECC. (ECC at SLC is allowed but never
 // useful; the explorer prunes it by cost.)
@@ -25,15 +29,6 @@ func PolicyChoices(maxBPC int) []PolicyKey {
 	return out
 }
 
-// DamageProbe is the measured per-event corruption of one stream under
-// one policy, at the (possibly subsampled) profile scale.
-type DamageProbe struct {
-	DStruct, DNSR, DMismatch float64
-}
-
-// Catastrophic reports whether a single event is a cascade.
-func (d DamageProbe) Catastrophic() bool { return d.DMismatch >= 0.02 }
-
 // StreamProfile is one stored structure's probe table.
 type StreamProfile struct {
 	Name string
@@ -41,7 +36,9 @@ type StreamProfile struct {
 	// FullDataBits extrapolates to the real layer.
 	SubDataBits  int64
 	FullDataBits int64
-	Probes       map[PolicyKey]DamageProbe
+	// Probes holds the measured per-event damage under every policy, at
+	// the (possibly subsampled) profile scale.
+	Probes map[PolicyKey]ares.Damage
 }
 
 // LayerProfile is the complete fault-exposure profile of one layer under
@@ -60,10 +57,7 @@ type LayerProfile struct {
 
 // ProfileOptions tunes profiling.
 type ProfileOptions struct {
-	// MaxBPC bounds the probed bits-per-cell (default 3, the densest MLC
-	// in the evaluated set).
-	MaxBPC int
-	// DamageTrials per probe (default 6).
+	// DamageTrials per probe (0 = ares.DefaultProbeTrials).
 	DamageTrials int
 	Seed         uint64
 	// RetentionYears ages the device fault model during evaluation
@@ -71,20 +65,12 @@ type ProfileOptions struct {
 	RetentionYears float64
 }
 
-func (o ProfileOptions) withDefaults() ProfileOptions {
-	if o.MaxBPC == 0 {
-		o.MaxBPC = 3
-	}
-	if o.DamageTrials == 0 {
-		o.DamageTrials = 6
-	}
-	return o
-}
-
 // ProfileLayer encodes the prepared layer under kind and probes every
-// stream x policy combination.
+// stream x policy combination up to maxProbedBPC.
 func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerProfile {
-	opt = opt.withDefaults()
+	if opt.DamageTrials == 0 {
+		opt.DamageTrials = ares.DefaultProbeTrials
+	}
 	cl := pl.CL
 	enc := sparse.Must(sparse.Encode(kind, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
 	lp := LayerProfile{
@@ -103,12 +89,11 @@ func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerP
 			Name:         s.Name,
 			SubDataBits:  s.SizeBits(),
 			FullDataBits: int64(float64(s.SizeBits()) * pl.Scale),
-			Probes:       make(map[PolicyKey]DamageProbe),
+			Probes:       make(map[PolicyKey]ares.Damage),
 		}
-		for _, key := range PolicyChoices(opt.MaxBPC) {
-			dS, dN, dM := ares.ProbeStreamDamage(enc, i, cl, key.Policy(),
+		for _, key := range PolicyChoices(maxProbedBPC) {
+			sp.Probes[key] = ares.ProbeStreamDamage(enc, i, cl, key.Policy(),
 				opt.DamageTrials, opt.Seed+uint64(i)*131+uint64(key.BPC)*7+b2u(key.ECC))
-			sp.Probes[key] = DamageProbe{DStruct: dS, DNSR: dN, DMismatch: dM}
 		}
 		lp.Streams = append(lp.Streams, sp)
 	}

@@ -33,10 +33,6 @@ import (
 	"repro/internal/quant"
 )
 
-// catastrophicThreshold matches ares/core: a single fault event
-// corrupting more than this fraction of a layer's indices is a cascade.
-const catastrophicThreshold = 0.02
-
 // StreamRank scores one stream name's criticality across all layers of
 // a model. Damage is in surrogate units (valueNSR + StructWeight *
 // structFrac, weighted by each layer's share of the model's weights),
@@ -65,28 +61,13 @@ type StreamRank struct {
 	Score float64
 }
 
-// RankConfig tunes the probing behind RankModel.
-type RankConfig struct {
-	// Trials is the number of forced-fault probes per stream per layer
-	// (default 6).
-	Trials int
-	// Seed drives probe placement; ranks are a pure function of
-	// (layers, cfg, RankConfig).
-	Seed uint64
-}
-
-func (rc RankConfig) withDefaults() RankConfig {
-	if rc.Trials == 0 {
-		rc.Trials = 6
-	}
-	return rc
-}
-
 // RankModel probes every stream of every clustered layer under cfg's
 // encoding and aggregates per stream name, most critical first. Streams
 // stored perfectly (BPC 0) are skipped — there is nothing to protect.
-func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]StreamRank, error) {
-	rc = rc.withDefaults()
+// Each stream gets ares.DefaultProbeTrials forced-fault probes per layer;
+// seed drives probe placement, so ranks are a pure function of (layers,
+// cfg, seed).
+func RankModel(layers []*quant.Clustered, cfg ares.Config, seed uint64) ([]StreamRank, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("mitigate: no layers to rank")
 	}
@@ -113,16 +94,15 @@ func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]Str
 				byName[s.Name] = r
 				order = append(order, s.Name)
 			}
-			dStruct, dNSR, dMismatch := ares.ProbeStreamDamage(
-				enc, si, cl, ares.StreamPolicy{BPC: p.BPC},
-				rc.Trials, rc.Seed+uint64(li)*131+uint64(si)*17+1)
-			damage := (dNSR + ares.StructWeight*dStruct) * layerW
+			d := ares.ProbeStreamDamage(enc, si, cl, ares.StreamPolicy{BPC: p.BPC},
+				ares.DefaultProbeTrials, seed+uint64(li)*131+uint64(si)*17+1)
+			damage := (d.DNSR + ares.StructWeight*d.DStruct) * layerW
 			cells := envm.CellsFor(s.SizeBits(), p.BPC)
 			r.DataBits += s.SizeBits()
 			r.Cells += cells
 			r.Score += float64(cells) * damage
-			r.Mismatch += dMismatch * layerW
-			if dMismatch >= catastrophicThreshold {
+			r.Mismatch += d.DMismatch * layerW
+			if d.Catastrophic() {
 				r.Catastrophic = true
 			}
 			if s.Name == "values" && r.BitSensitivity == nil {

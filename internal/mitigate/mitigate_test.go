@@ -51,7 +51,7 @@ func baseConfig() ares.Config {
 func getRanks(t *testing.T) []mitigate.StreamRank {
 	t.Helper()
 	ev, _ := getFixture(t)
-	ranks, err := mitigate.RankModel(ev.Clustered(), baseConfig(), mitigate.RankConfig{Seed: 5})
+	ranks, err := mitigate.RankModel(ev.Clustered(), baseConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +269,33 @@ func TestPlanScrubRegimes(t *testing.T) {
 
 	if _, err := mitigate.PlanScrub(mitigate.Deployment{}, ranks, pl); err == nil {
 		t.Error("empty deployment accepted")
+	}
+}
+
+// TestPlanChainGolden pins the criticality ranking -> protection plan ->
+// scrub schedule chain on the shared fixture: the plan summary, the
+// chosen interval and the predicted delta at that interval must not
+// move when the surrogate's plumbing is refactored.
+func TestPlanChainGolden(t *testing.T) {
+	ranks := getRanks(t)
+	pl, err := mitigate.PlanProtection(ranks, envm.MLCRRAM, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantPlan = "blk128, overhead 7.4% of 0.1 budget; ECC: colidx,rowcount; SLC: rowcount"
+	if got := pl.String(); got != wantPlan {
+		t.Errorf("plan = %q, want %q", got, wantPlan)
+	}
+	dep := mitigate.Deployment{
+		Tech: envm.MLCRRAM, LifetimeYears: 10, DeltaBound: 0.005,
+		Sens: ares.Sensitivity("TinyCNN"), Headroom: ares.Headroom(10, 0.1),
+	}
+	sp, err := mitigate.PlanScrub(dep, ranks, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.IntervalYears != 5 || sp.PredictedDelta != 0.0022923308246706854 {
+		t.Errorf("scrub interval %v years, predicted delta %v; want 5 years, 0.0022923308246706854",
+			sp.IntervalYears, sp.PredictedDelta)
 	}
 }

@@ -74,14 +74,14 @@ func PredictDelta(ranks []StreamRank, pl Plan, tech envm.Tech, sens, headroom, y
 			continue
 		}
 		sc := envm.StoreConfig{Tech: tech, BPC: pol.BPC, Gray: pol.ECC, RetentionYears: years}
-		lambda := ares.LambdaEffWithBlock(r.DataBits, sc, pol.ECC, pl.BlockBits)
+		lambda := ares.LambdaEff(r.DataBits, sc, pol.ECC, pl.BlockBits)
 		d := r.DamagePerEvent
 		if pol.ECC {
 			d *= 2
 		}
 		x += lambda * d
 	}
-	return headroom * (1 - math.Exp(-sens*x))
+	return ares.DeltaError(sens, headroom, x, 0)
 }
 
 // ScrubPlan is the scheduler's decision.
