@@ -45,8 +45,11 @@ test:
 
 # The benchmark harness is its own module (perfbench/go.mod), so the
 # root ./... pattern skips it; vet it separately so an API it calls
-# cannot disappear unnoticed until the benchmark runs.
+# cannot disappear unnoticed until the benchmark runs. vet also fails
+# on any Go file gofmt would rewrite (tracked or new, not ignored).
 vet:
+	@unformatted=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 

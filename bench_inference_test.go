@@ -157,19 +157,36 @@ func BenchmarkCorruptedTrialThroughput24Oracle(b *testing.B) {
 	benchTrials(b, bench24FaultConfig(), ev.EvalTrialSerial)
 }
 
+// assertForwardAllocFree fails b unless the warmed-up Forwarder's full
+// pass, and its pass started at every weight layer from a snapshot of
+// that pass (the corrupted trials' prefix reuse), allocate nothing.
+func assertForwardAllocFree(b *testing.B, f *dnn.Forwarder, m *dnn.Model, in *tensor.Tensor4) {
+	f.Forward(in) // materialize buffers
+	if n := testing.AllocsPerRun(10, func() { f.Forward(in) }); n != 0 {
+		b.Fatalf("steady-state forward pass allocates %v allocs/op, want 0", n)
+	}
+	prefix := f.Snapshot()
+	for s, l := range m.Layers {
+		if !l.HasWeights() {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { f.ForwardFrom(in, prefix, s) }); n != 0 {
+			b.Fatalf("steady-state pass from %s allocates %v allocs/op, want 0", l.Name, n)
+		}
+	}
+}
+
 // BenchmarkForwardAllocFree measures the steady-state forward pass in
 // the replica configuration (Workers=1, reused Forwarder). Run with
-// -benchmem: the acceptance criterion is 0 allocs/op.
+// -benchmem: the acceptance criterion is 0 allocs/op, for the full pass
+// and for passes started at any weight layer.
 func BenchmarkForwardAllocFree(b *testing.B) {
 	ds := train.Synthesize(train.SynthConfig{N: 100, Seed: 1})
 	m := dnn.TinyCNN()
 	m.InitWeights(1)
 	f := dnn.NewForwarder(m)
 	f.Workers = 1
-	f.Forward(ds.Images) // materialize buffers
-	if n := testing.AllocsPerRun(10, func() { f.Forward(ds.Images) }); n != 0 {
-		b.Fatalf("steady-state forward pass allocates %v allocs/op, want 0", n)
-	}
+	assertForwardAllocFree(b, f, m, ds.Images)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -180,7 +197,7 @@ func BenchmarkForwardAllocFree(b *testing.B) {
 // BenchmarkForwardAllocFree24 is the same steady-state forward pass with
 // every weight layer routed through the compute-direct 2:4 kernels
 // (weights projected onto the 2:4 pattern). Same acceptance criterion:
-// 0 allocs/op. The ns/op delta vs BenchmarkForwardAllocFree is the raw
+// 0 allocs/op, from every start. The ns/op delta vs BenchmarkForwardAllocFree is the raw
 // kernel speedup from skipping half the MACs.
 func BenchmarkForwardAllocFree24(b *testing.B) {
 	ds := train.Synthesize(train.SynthConfig{N: 100, Seed: 1})
@@ -233,10 +250,7 @@ func BenchmarkForwardAllocFree24(b *testing.B) {
 		}
 		f.Ops[li] = s
 	}
-	f.Forward(ds.Images)
-	if n := testing.AllocsPerRun(10, func() { f.Forward(ds.Images) }); n != 0 {
-		b.Fatalf("2:4 steady-state forward pass allocates %v allocs/op, want 0", n)
-	}
+	assertForwardAllocFree(b, f, m, ds.Images)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,10 +2,12 @@ package ares
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/crossbar"
+	"repro/internal/ecc"
 	"repro/internal/envm"
 	"repro/internal/quant"
 	"repro/internal/sparse"
@@ -403,5 +405,27 @@ func TestAcceptCriterion(t *testing.T) {
 	}
 	if d := (ModelDamage{LinearStruct: 0.5, TotalWeights: 100}).ExpectedDeltaError(1, 0.8); d <= bound {
 		t.Errorf("huge corruption delta %.5g within bound %v", d, bound)
+	}
+}
+
+func TestDoubleFaultProb(t *testing.T) {
+	// 1 - e^-λ - λe^-λ is the tail of the Poisson series from k = 2.
+	for _, lambda := range []float64{0, 1e-4, 0.05, 0.7, 3, 12} {
+		term, series := math.Exp(-lambda)*lambda, 0.0
+		for k := 2; k < 200; k++ {
+			term *= lambda / float64(k)
+			series += term
+		}
+		if got := DoubleFaultProb(lambda); math.Abs(got-series) > 1e-12 {
+			t.Errorf("DoubleFaultProb(%v) = %v, series %v", lambda, got, series)
+		}
+	}
+	// LambdaEff with ECC is blocks x the tail at the per-block mean.
+	sc := Config{Tech: envm.CTT}.StoreConfig(StreamPolicy{BPC: 3})
+	const bits = 1 << 16
+	blocks := float64(ecc.NewBlockCode(ECCDataBits).Blocks(bits))
+	lb := float64(envm.CellsFor(bits, 3)) / blocks * sc.FaultMap().TotalRate()
+	if got, want := LambdaEff(bits, sc, true, 0), blocks*DoubleFaultProb(lb); got != want {
+		t.Errorf("LambdaEff = %v, want %v", got, want)
 	}
 }

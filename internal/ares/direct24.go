@@ -26,9 +26,9 @@ import (
 // Because the 2-of-4 projection is lossy, the 2:4 baseline is the
 // *projected* model: pristine decode of E24 differs from the clustered
 // indices wherever a group held 3+ nonzeros. Trial deltas are measured
-// against baselineErr (the projected model's fault-free error) and
-// corruption statistics against orig24 (the projected indices), so a
-// trial reports only fault damage, never the static projection loss.
+// against base (the projected model's fault-free pass) and corruption
+// statistics against orig24 (the projected indices), so a trial
+// reports only fault damage, never the static projection loss.
 
 // twofourState is the evaluator's lazily-built pristine 2:4 state. It
 // is parameter-free given the clustered layers: E24 depends only on
@@ -46,12 +46,12 @@ type twofourState struct {
 	// compVals/compPos hold the pristine canonical compact form; the
 	// fast path is a bytes.Equal against these.
 	compVals, compPos [][]uint8
-	// pristine24 holds the shared compute-direct weights (*Sparse24) for
-	// layers a trial did not corrupt (replicas overlay them read-only).
-	pristine24 []tensor.Operand
-	// baselineErr is the fault-free error of the projected model,
-	// measured once through the compute-direct kernels.
-	baselineErr float64
+	// base is the projected model's reference pass, measured once
+	// through the compute-direct kernels: its operands are the shared
+	// pristine *Sparse24 weights that layers a trial did not corrupt
+	// run as (replicas overlay them read-only), and its prefix lets a
+	// trial's pass start at its first corrupted layer.
+	base base
 }
 
 // twofour builds (once) and returns the evaluator's pristine 2:4 state.
@@ -63,7 +63,7 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 		tf.orig24 = make([][]uint8, n)
 		tf.compVals = make([][]uint8, n)
 		tf.compPos = make([][]uint8, n)
-		tf.pristine24 = make([]tensor.Operand, n)
+		pristine := make([]tensor.Operand, n)
 		for i, cl := range ev.clustered {
 			enc, err := sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)
 			if err != nil {
@@ -81,9 +81,9 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 				s24.Val[j] = cl.Centroids[v]
 			}
 			copy(s24.Pos, tf.compPos[i])
-			tf.pristine24[i] = s24
+			pristine[i] = s24
 		}
-		tf.baselineErr = ev.baselineWith(tf.pristine24)
+		tf.base = ev.newBase(pristine, true)
 	})
 	return tf, tf.err
 }
@@ -184,7 +184,7 @@ func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, seed uin
 	if err != nil {
 		return trial{}, err
 	}
-	t := ev.newTrial(tf.baselineErr)
+	t := ev.newTrial(&tf.base)
 	tsrc := stats.NewSource(seed)
 	for i, cl := range ev.clustered {
 		st, vals, pos, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
@@ -193,7 +193,7 @@ func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, seed uin
 		}
 		t.stats.addLayer(st, len(cl.Indices))
 		if bytes.Equal(vals, tf.compVals[i]) && bytes.Equal(pos, tf.compPos[i]) {
-			t.layers[i].op = tf.pristine24[i]
+			t.layers[i].op = tf.base.ops[i]
 		} else {
 			t.layers[i].vals, t.layers[i].pos = vals, pos
 			t.pristine = false

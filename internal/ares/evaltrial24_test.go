@@ -57,7 +57,7 @@ func TestEvalTrial24ParityGrid(t *testing.T) {
 
 // TestEvalTrial24PristineBaseline pins the 2:4 baseline contract from
 // both ends. The strict half: the decode-to-dense error of the pristine
-// projected model (dense kernels) must equal tf.baselineErr (measured
+// projected model (dense kernels) must equal tf.base.err (measured
 // once through the 2:4 kernels) to the bit — the kernel-parity claim,
 // unclamped. The route half: a perfect-storage trial is a fast-path hit
 // with delta exactly 0 on the direct route, and exactly 0 on the oracle
@@ -70,17 +70,17 @@ func TestEvalTrial24PristineBaseline(t *testing.T) {
 	}
 	// Baseline 0 makes the oracle return the absolute error: no clamp
 	// can hide a kernel divergence.
-	proj := ev.newTrial(0)
+	proj := ev.newTrial(&base{})
 	for i := range ev.clustered {
 		proj.layers[i].idx = tf.orig24[i]
 	}
 	abs := ev.measureSerial(proj)
-	if abs != tf.baselineErr {
-		t.Errorf("dense-kernel projected error %v != 2:4-kernel baseline %v", abs, tf.baselineErr)
+	if abs != tf.base.err {
+		t.Errorf("dense-kernel projected error %v != 2:4-kernel baseline %v", abs, tf.base.err)
 	}
-	if tf.baselineErr < ev.BaselineErr {
+	if tf.base.err < ev.BaselineErr {
 		t.Errorf("projected baseline %v below clustered baseline %v: projection cannot help",
-			tf.baselineErr, ev.BaselineErr)
+			tf.base.err, ev.BaselineErr)
 	}
 
 	cfg := grid24Configs()[0] // perfect storage

@@ -198,7 +198,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 	if err != nil {
 		return res, err
 	}
-	refs, baseline, err := ev.refFor(cfg)
+	refs, b, err := ev.refFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -224,7 +224,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 			driftAge = age - prevAge
 		}
 		esrc := src.Fork(uint64(e) + 1)
-		t := ev.newTrial(baseline)
+		t := ev.newTrial(b)
 		for li, cl := range ev.clustered {
 			if err := ctx.Err(); err != nil {
 				return res, err

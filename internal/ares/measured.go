@@ -11,6 +11,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -30,7 +31,7 @@ type MeasuredEvaluator struct {
 	Model *dnn.Model
 	Test  *train.Dataset
 	// BaselineErr is the fault-free classification error of the clustered
-	// model (measured at construction).
+	// model (measured at construction; base.err).
 	BaselineErr float64
 
 	// layerIdx maps weight-layer ordinal to model layer index.
@@ -40,6 +41,13 @@ type MeasuredEvaluator struct {
 	// origIdx aliases each clustered layer's pristine indices (the
 	// reference matrix for lossless encodings; see refFor).
 	origIdx [][]uint8
+	// base is the clustered dense model's reference pass: the baseline
+	// and activation prefix of the stored-bit routes (see replica.go).
+	base base
+	// prefixStarts counts measured trials per start layer, indexed like
+	// Model.Layers (nil for layers a pass never starts at: all but the
+	// first layer and the weight layers).
+	prefixStarts []*telemetry.Counter
 	// tf is the lazily-built compute-direct 2:4 state (see direct24.go).
 	tf twofourState
 
@@ -77,7 +85,14 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 		ev.clustered = append(ev.clustered, cl)
 		ev.origIdx = append(ev.origIdx, cl.Indices)
 	}
-	ev.BaselineErr = train.Error(m, test)
+	ev.base = ev.newBase(nil, true)
+	ev.BaselineErr = ev.base.err
+	ev.prefixStarts = make([]*telemetry.Counter, len(m.Layers))
+	for i, l := range m.Layers {
+		if i == 0 || l.HasWeights() {
+			ev.prefixStarts[i] = telemetry.Default().Counter("ares.prefix.start." + l.Name)
+		}
+	}
 	ev.encCache = make(map[string][]sparse.Encoding)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
@@ -88,21 +103,21 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 func (ev *MeasuredEvaluator) Clustered() []*quant.Clustered { return ev.clustered }
 
 // refFor returns the per-layer reference indices and the fault-free
-// baseline error that trials under cfg measure against. Lossless
-// encodings decode pristinely back to the clustered indices, so the
-// references are the clustered layers and the clustered baseline.
-// Kind24's 2-of-4 projection is lossy: its references are the projected
-// indices and the projected-model baseline, so a trial's delta reports
-// only fault damage, never the static projection loss.
-func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, float64, error) {
+// base that trials under cfg measure against. Lossless encodings decode
+// pristinely back to the clustered indices, so the references are the
+// clustered layers and the clustered base. Kind24's 2-of-4 projection
+// is lossy: its references are the projected indices and the
+// projected-model base, so a trial's delta reports only fault damage,
+// never the static projection loss.
+func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, *base, error) {
 	if cfg.Encoding == sparse.Kind24 {
 		tf, err := ev.twofour()
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
-		return tf.orig24, tf.baselineErr, nil
+		return tf.orig24, &tf.base, nil
 	}
-	return ev.origIdx, ev.BaselineErr, nil
+	return ev.origIdx, &ev.base, nil
 }
 
 // MeasuredResult is the outcome of a measured fault-injection campaign.
@@ -178,8 +193,10 @@ type trial struct {
 	pristine bool
 	// layers holds one overlay payload per weight layer.
 	layers []layerOp
-	// baseline is the fault-free error the delta is measured against.
-	baseline float64
+	// base is the fault-free reference the delta is measured against;
+	// its operands and prefix let measure skip the layers the trial
+	// left as they are.
+	base *base
 }
 
 // layerOp is one weight layer's overlay payload; at most one form is
@@ -197,8 +214,8 @@ type layerOp struct {
 	op             tensor.Operand
 }
 
-func (ev *MeasuredEvaluator) newTrial(baseline float64) trial {
-	return trial{pristine: true, layers: make([]layerOp, len(ev.clustered)), baseline: baseline}
+func (ev *MeasuredEvaluator) newTrial(b *base) trial {
+	return trial{pristine: true, layers: make([]layerOp, len(ev.clustered)), base: b}
 }
 
 // addDecoded records weight layer i's decoded indices and corruption
@@ -231,11 +248,11 @@ func (ev *MeasuredEvaluator) corruptStorage(ctx context.Context, cfg Config, see
 	if err != nil {
 		return trial{}, err
 	}
-	refs, baseline, err := ev.refFor(cfg)
+	refs, b, err := ev.refFor(cfg)
 	if err != nil {
 		return trial{}, err
 	}
-	t := ev.newTrial(baseline)
+	t := ev.newTrial(b)
 	tsrc := stats.NewSource(seed)
 	for i, cl := range ev.clustered {
 		st, decoded, err := RunTrialChecked(ctx, encs[i], refs[i], cl.Centroids, cfg, tsrc.Uint64())
@@ -289,12 +306,12 @@ func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uin
 
 // EvalTrialSerial is EvalTrial measured by the reference oracle, an
 // implementation kept independent of the path it checks: no fast path,
-// no replica pool or private buffers, no 2:4 kernels. Each call maps
-// the decoded indices into fresh dense matrices (Kind24 included: the
-// decode-to-dense oracle) or takes the trial's crossbar operands, and
-// runs them on a fresh default-Workers Forwarder. The replica route is
-// pinned bit-identical to it by test, and the benchmark suite compares
-// the two.
+// no replica pool or private buffers, no 2:4 kernels, no activation
+// prefix. Each call maps the decoded indices into fresh dense matrices
+// (Kind24 included: the decode-to-dense oracle) or takes the trial's
+// crossbar operands, and runs the full pass on a fresh default-Workers
+// Forwarder. The replica route is pinned bit-identical to it by test,
+// and the benchmark suite compares the two.
 func (ev *MeasuredEvaluator) EvalTrialSerial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
 	corrupt := ev.corruptStorage
 	if cfg.Crossbar != nil {
@@ -322,7 +339,7 @@ func (ev *MeasuredEvaluator) measureSerial(t trial) float64 {
 		}
 		fw.Ops[ev.layerIdx[i]] = op
 	}
-	delta := train.ErrorWith(fw, ev.Test) - t.baseline
+	delta := 1 - train.AccuracyOf(fw.Forward(ev.Test.Images), ev.Test) - t.base.err
 	met.eval.Since(start)
 	return clampDelta(delta)
 }

@@ -25,6 +25,12 @@ package ares
 //	ares.fastpath.misses trials that required real inference
 //	ares.replicas.created model replicas materialized (lazy, <= GOMAXPROCS)
 //	ares.replicas.busy   replicas currently checked out (occupancy gauge)
+//	ares.prefix.start.<layer> measured trials whose forward pass started
+//	                     at that weight layer (named as in the model; a
+//	                     full pass counts at the first); the layers before
+//	                     it were read from the base's activation prefix
+//	ares.prefix.bytes    memory held by activation-prefix snapshots,
+//	                     summed over the bases built in this process (B)
 //
 // Error-mitigation events (the lifetime subsystem, internal/mitigate):
 //
@@ -44,6 +50,7 @@ var met = struct {
 	fastHits, fastMisses         *telemetry.Counter
 	replicasCreated              *telemetry.Counter
 	replicasBusy                 *telemetry.Gauge
+	prefixBytes                  *telemetry.Gauge
 	eccCorrected, eccDetected    *telemetry.Counter
 	degradedBlocks               *telemetry.Counter
 	scrubEpochs, scrubRewrites   *telemetry.Counter
@@ -60,6 +67,7 @@ var met = struct {
 	fastMisses:      telemetry.Default().Counter("ares.fastpath.misses"),
 	replicasCreated: telemetry.Default().Counter("ares.replicas.created"),
 	replicasBusy:    telemetry.Default().Gauge("ares.replicas.busy"),
+	prefixBytes:     telemetry.Default().Gauge("ares.prefix.bytes"),
 	eccCorrected:    telemetry.Default().Counter("ecc.corrected"),
 	eccDetected:     telemetry.Default().Counter("ecc.detected"),
 	degradedBlocks:  telemetry.Default().Counter("mitigate.degrade.blocks"),

@@ -29,6 +29,17 @@ import (
 // are fully overwritten before use, and the Forwarder's arithmetic is
 // independent of worker count and replica identity. Which replica
 // serves a trial therefore cannot affect its delta.
+//
+// Pristine-prefix reuse: every trial measures against a base — the
+// fault-free reference pass of its route (the clustered dense model,
+// or the projected 2:4 model) — that kept a snapshot of its
+// activations over the test set (dnn.Forwarder.Snapshot). A trial
+// whose first weight layer differing from the base is layer s runs
+// layers s.. only (dnn.Forwarder.ForwardFrom): the layers before s run
+// the very operands the base ran, on the same input, so the snapshot
+// holds bit for bit the tensors the full pass would recompute. Crossbar
+// bases keep no snapshot (a trial reprograms every analog layer), and
+// the reference oracle always runs the full pass.
 
 // replica is one checked-out-able inference engine.
 type replica struct {
@@ -57,8 +68,10 @@ func (ev *MeasuredEvaluator) newReplica() *replica {
 // overlay points the replica's Forwarder at trial t's weights: each
 // layer payload becomes an operand — a ready one as is, a decoded or
 // 2:4 one filled into the replica's private buffer. No dense matrix is
-// allocated once the buffers exist.
-func (r *replica) overlay(ev *MeasuredEvaluator, t trial) {
+// allocated once the buffers exist. It returns the first model layer
+// whose operand differs from the base's, or -1 if none does.
+func (r *replica) overlay(ev *MeasuredEvaluator, t trial) int {
+	first := -1
 	for i, p := range t.layers {
 		cl := ev.clustered[i]
 		var op tensor.Operand
@@ -86,11 +99,28 @@ func (r *replica) overlay(ev *MeasuredEvaluator, t trial) {
 			}
 			centroidsInto(buf.Data, p.idx, cl.Centroids)
 			op = buf
-		default:
-			continue // the model's own weights
 		}
+		// op == nil: the model's own weights.
 		r.fw.Ops[ev.layerIdx[i]] = op
+		if first < 0 && op != t.base.op(i) {
+			first = ev.layerIdx[i]
+		}
 	}
+	return first
+}
+
+// pass overlays trial t's weights and runs the forward pass over the
+// test set from the first layer that differs from t's base, reading the
+// layers before it from the base's prefix; with no such layer or no
+// prefix it runs the whole pass. It returns the logits (valid until the
+// replica's next pass).
+func (r *replica) pass(ev *MeasuredEvaluator, t trial) *tensor.Matrix {
+	start, prefix := r.overlay(ev, t), t.base.prefix
+	if start < 0 || prefix == nil {
+		start, prefix = 0, nil
+	}
+	ev.prefixStarts[start].Inc()
+	return r.fw.ForwardFrom(ev.Test.Images, prefix, start)
 }
 
 // reset clears the overlay; private buffers are kept for reuse.
@@ -138,9 +168,10 @@ func (ev *MeasuredEvaluator) checkin(r *replica) {
 // zero-mismatch fast path when the trial is pristine (the common SLC /
 // post-ECC case — the reference weights reproduce the baseline exactly,
 // so the delta is 0 by construction), otherwise check out a replica,
-// overlay the trial's weights, run real inference, and clamp the delta
-// against the trial's baseline. Concurrent calls proceed in parallel up
-// to the pool size.
+// overlay the trial's weights, run real inference from the first layer
+// that differs from the base (the whole pass when the base keeps no
+// prefix), and clamp the delta against the base's error. Concurrent
+// calls proceed in parallel up to the pool size.
 func (ev *MeasuredEvaluator) measure(t trial) float64 {
 	if t.pristine {
 		met.fastHits.Inc()
@@ -151,22 +182,47 @@ func (ev *MeasuredEvaluator) measure(t trial) float64 {
 	r := ev.checkout()
 	defer ev.checkin(r)
 	evalStart := time.Now()
-	r.overlay(ev, t)
-	delta := train.ErrorWith(r.fw, ev.Test) - t.baseline
+	delta := 1 - train.AccuracyOf(r.pass(ev, t), ev.Test) - t.base.err
 	met.eval.Since(evalStart)
 	met.evalParallel.Since(waitStart)
 	return clampDelta(delta)
 }
 
-// baselineWith measures the fault-free error of the model with one
-// operand per weight layer, through exactly the kernels trials use: the
-// projected-model (2:4) and mapped-model (crossbar) baselines. It runs
-// a one-shot serial Forwarder, outside the replica pool.
-func (ev *MeasuredEvaluator) baselineWith(ops []tensor.Operand) float64 {
+// base is a fault-free reference model that trials measure against:
+// its test-set error, the operand each weight layer runs as, and the
+// activation prefix of its pass over the test set.
+type base struct {
+	err float64
+	// ops holds one operand per weight layer; a nil slice or entry is
+	// the model's own clustered weights.
+	ops []tensor.Operand
+	// prefix is nil when trials on this base run the full pass.
+	prefix *dnn.Prefix
+}
+
+// op returns the operand weight layer i runs as in the base.
+func (b *base) op(i int) tensor.Operand {
+	if b.ops == nil {
+		return nil
+	}
+	return b.ops[i]
+}
+
+// newBase measures the fault-free error of the model with ops overlaid
+// (nil: the clustered weights), through exactly the kernels trials
+// use, on a one-shot Forwarder outside the replica pool. With snapshot
+// set the base keeps the pass's activation prefix (dnn.Prefix: only
+// the activations a later start reads, ~0.6 MB for TinyCNN over a
+// 300-image test set).
+func (ev *MeasuredEvaluator) newBase(ops []tensor.Operand, snapshot bool) base {
 	fw := dnn.NewForwarder(ev.Model)
-	fw.Workers = 1
 	for i, op := range ops {
 		fw.Ops[ev.layerIdx[i]] = op
 	}
-	return train.ErrorWith(fw, ev.Test)
+	b := base{err: 1 - train.AccuracyOf(fw.Forward(ev.Test.Images), ev.Test), ops: ops}
+	if snapshot {
+		b.prefix = fw.Snapshot()
+		met.prefixBytes.Add(float64(b.prefix.Bytes()))
+	}
+	return b
 }

@@ -95,7 +95,7 @@ func TestReplicaParityConcurrent(t *testing.T) {
 // decodedTrial builds a stored-bit trial from per-layer decoded indices
 // against the clustered references, the way corruptStorage does.
 func decodedTrial(ev *MeasuredEvaluator, decoded [][]uint8) trial {
-	t := ev.newTrial(ev.BaselineErr)
+	t := ev.newTrial(&ev.base)
 	for i, cl := range ev.clustered {
 		t.addDecoded(i, TrialStats{}, decoded[i], cl.Indices)
 	}

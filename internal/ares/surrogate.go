@@ -147,10 +147,14 @@ func LambdaEff(bits int64, sc envm.StoreConfig, eccOn bool, blockBits int) float
 	if blocks == 0 {
 		return 0
 	}
-	lb := cells / blocks * p
-	// P(>=2 faults in a block) for Poisson(lb).
-	p2 := 1 - math.Exp(-lb) - lb*math.Exp(-lb)
-	return blocks * p2
+	return blocks * DoubleFaultProb(cells/blocks*p)
+}
+
+// DoubleFaultProb returns P(>= 2 events) for a Poisson count with mean
+// lambda, 1 - e^-λ - λe^-λ: the chance that a SEC-DED block expecting
+// lambda faults holds an uncorrectable pair.
+func DoubleFaultProb(lambda float64) float64 {
+	return 1 - math.Exp(-lambda) - lambda*math.Exp(-lambda)
 }
 
 // ProbeStreamDamage measures the per-event corruption of one stream of an

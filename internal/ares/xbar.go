@@ -41,13 +41,16 @@ var errNoCrossbar = errors.New("ares: config has no crossbar design point")
 // function of (cfg, seed).
 
 // xbarState is the pristine per-design-point crossbar state: one
-// immutable mapping per weight layer plus the mapped baseline error.
+// immutable mapping per weight layer plus the mapped base.
 // Fault rates and the online policy do not affect it, so one state
 // serves every campaign config sharing a tech + Config.MapKey (the
 // evaluator caches by that key).
 type xbarState struct {
-	layers      []*crossbar.Layer
-	baselineErr float64
+	layers []*crossbar.Layer
+	// base carries the mapped baseline error and no prefix: a trial
+	// reprograms every analog layer, so its pass always starts at the
+	// first layer.
+	base base
 }
 
 // xbar builds (once per tech + mapping key) and returns the pristine
@@ -76,13 +79,13 @@ func (ev *MeasuredEvaluator) xbar(cfg Config) (*xbarState, error) {
 	// bit-identical to the clustered snapshot, so the clustered
 	// baseline carries over without an inference pass.
 	if xc.BPC == 0 && xc.ADCBits == 0 {
-		xs.baselineErr = ev.BaselineErr
+		xs.base.err = ev.BaselineErr
 	} else {
 		ops := make([]tensor.Operand, len(xs.layers))
 		for o, ly := range xs.layers {
 			ops[o] = xbarOperand(ly.Pristine(), ly.PristineXbar())
 		}
-		xs.baselineErr = ev.baselineWith(ops)
+		xs.base = ev.newBase(ops, false)
 	}
 	met.encode.Since(start)
 	ev.xbarCache[key] = xs
@@ -143,7 +146,7 @@ func (ev *MeasuredEvaluator) corruptXbar(ctx context.Context, cfg Config, seed u
 	xc := *cfg.Crossbar
 	injectStart := time.Now()
 	tsrc := stats.NewSource(seed)
-	t := ev.newTrial(xs.baselineErr)
+	t := ev.newTrial(&xs.base)
 	var zeroedW int
 	for i, cl := range ev.clustered {
 		lseed := tsrc.Uint64()

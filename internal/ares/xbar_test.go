@@ -39,8 +39,8 @@ func TestEvalTrialXbarIdealParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xs.baselineErr != ev.BaselineErr {
-		t.Fatalf("ideal mapped baseline %v != clustered baseline %v", xs.baselineErr, ev.BaselineErr)
+	if xs.base.err != ev.BaselineErr {
+		t.Fatalf("ideal mapped baseline %v != clustered baseline %v", xs.base.err, ev.BaselineErr)
 	}
 
 	// Replica route: fast path, exactly zero.
@@ -197,9 +197,9 @@ func TestXbarStateCache(t *testing.T) {
 	if xcState == xa {
 		t.Fatal("ADC design change must rebuild the mapping")
 	}
-	if xcState.baselineErr < xa.baselineErr {
+	if xcState.base.err < xa.base.err {
 		t.Fatalf("ADC-mapped baseline %v below ideal baseline %v: quantization cannot help",
-			xcState.baselineErr, xa.baselineErr)
+			xcState.base.err, xa.base.err)
 	}
 }
 

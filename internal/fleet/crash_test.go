@@ -105,7 +105,7 @@ func TestKilledWorkerShardStolenMergeBitIdentical(t *testing.T) {
 		Dir: dir, Run: detRun, Workers: 2,
 		TTL: 300 * time.Millisecond, Heartbeat: 50 * time.Millisecond,
 		Poll: 20 * time.Millisecond,
-		Log: os.Stderr, Metrics: reg,
+		Log:  os.Stderr, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

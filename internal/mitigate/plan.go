@@ -42,8 +42,7 @@ func ChooseBlockBits(perCellRate float64, bpc int) int {
 	}
 	for _, b := range ECCBlockChoices {
 		cellsPerBlock := float64(b) / float64(bpc)
-		lb := cellsPerBlock * perCellRate
-		p2 := 1 - math.Exp(-lb) - lb*math.Exp(-lb)
+		p2 := ares.DoubleFaultProb(cellsPerBlock * perCellRate)
 		if p2 <= maxBlockFailProb && p2/cellsPerBlock <= residualFraction*perCellRate {
 			return b
 		}

@@ -278,26 +278,18 @@ func gapBackward(in, dOut *tensor.Tensor4) *tensor.Tensor4 {
 
 // Accuracy returns the fraction of correct predictions on ds.
 func Accuracy(m *dnn.Model, ds *Dataset) float64 {
-	preds := m.Predict(ds.Images)
-	correct := 0
-	for i, p := range preds {
-		if p == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(preds))
+	return AccuracyOf(m.Forward(ds.Images), ds)
 }
 
 // Error returns 1 - Accuracy.
 func Error(m *dnn.Model, ds *Dataset) float64 { return 1 - Accuracy(m, ds) }
 
-// AccuracyWith returns the fraction of correct predictions on ds using
-// a caller-owned reusable Forwarder, so repeated evaluations (the
-// inference tail of fault-injection trials) allocate nothing in steady
-// state. The count and the final division match Accuracy exactly, so
-// the two paths are bit-identical on identical weights.
-func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 {
-	logits := f.Forward(ds.Images)
+// AccuracyOf returns the fraction of rows of logits (one per sample of
+// ds, as a pass over ds.Images returns them) whose argmax is the
+// sample's label. It allocates nothing, so scoring the reusable
+// Forwarder passes of fault-injection trials stays allocation-free,
+// and every accuracy in the repository is this one count and division.
+func AccuracyOf(logits *tensor.Matrix, ds *Dataset) float64 {
 	correct := 0
 	for r := 0; r < logits.Rows; r++ {
 		if logits.ArgmaxRow(r) == ds.Labels[r] {
@@ -306,6 +298,3 @@ func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 {
 	}
 	return float64(correct) / float64(logits.Rows)
 }
-
-// ErrorWith returns 1 - AccuracyWith.
-func ErrorWith(f *dnn.Forwarder, ds *Dataset) float64 { return 1 - AccuracyWith(f, ds) }
