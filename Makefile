@@ -3,6 +3,9 @@
 #   make check   - tier 1: build + full test suite + vet + race pass on
 #                  the concurrency-heavy packages (the seed contract)
 #                  + the servesim end-to-end smoke
+#   make alloc-free - the allocation-free forward-pass proofs (dense,
+#                  2:4 and crossbar operands), which live in benchmarks
+#                  and so never run under `go test ./...`
 #   make race    - tier 2: go vet + race detector on a fast test pass
 #   make cover   - per-package coverage floors on the core packages
 #   make fleet-crash - the fleet fault matrix: lease races, zombie
@@ -31,11 +34,11 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/dnn internal/core
 
-.PHONY: all check build test race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
+.PHONY: all check build test alloc-free race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
 all: check race
 
-check: build test vet race-fast serve-smoke chaos
+check: build test vet alloc-free race-fast serve-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -52,6 +55,12 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+
+# The ForwardAllocFree* benchmarks assert that a warmed-up Forwarder's
+# pass, from every start layer, allocates nothing; one iteration each
+# runs the assertions.
+alloc-free:
+	$(GO) test -run '^$$' -bench 'ForwardAllocFree' -benchtime 1x .
 
 # The race tier runs -short so the exploration-scale benchmarks and the
 # slowest campaigns stay out of the hot CI path; the campaign engine's
@@ -123,9 +132,10 @@ bench:
 # The tracked baseline: campaign trial throughput (replica pool vs the
 # serialized reference path) and the steady-state forward pass, teed
 # through cmd/benchjson into BENCH_inference.json so the numbers land in
-# review diffs.
+# review diffs. The pattern is anchored so the crossbar rows, which
+# BENCH_crossbar.json tracks, stay out of this ledger.
 bench-inference:
-	$(GO) test -run '^$$' -bench 'TrialThroughput|ForwardAllocFree' -benchmem -benchtime=2s . \
+	$(GO) test -run '^$$' -bench '^Benchmark(Campaign|Corrupted)TrialThroughput|^BenchmarkForwardAllocFree' -benchmem -benchtime=2s . \
 		| $(GO) run ./cmd/benchjson -out BENCH_inference.json
 
 # The tracked fleet baseline: end-to-end fleet runs at 1/2/4 workers vs

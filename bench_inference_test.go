@@ -28,6 +28,7 @@ import (
 	"testing"
 
 	"repro/internal/ares"
+	"repro/internal/crossbar"
 	"repro/internal/dnn"
 	"repro/internal/envm"
 	"repro/internal/sparse"
@@ -249,6 +250,35 @@ func BenchmarkForwardAllocFree24(b *testing.B) {
 			}
 		}
 		f.Ops[li] = s
+	}
+	assertForwardAllocFree(b, f, m, ds.Images)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Forward(ds.Images)
+	}
+}
+
+// BenchmarkForwardAllocFreeXbar is the same steady-state forward pass
+// with every weight layer routed through the crossbar kernels: each
+// layer overlaid with its pristine mapping (64x32 tiles, 8-bit ADC).
+// Same acceptance criterion: 0 allocs/op, from every start — the conv
+// lowering's padded-image and patch scratch grow once, then are reused.
+func BenchmarkForwardAllocFreeXbar(b *testing.B) {
+	ds := train.Synthesize(train.SynthConfig{N: 100, Seed: 1})
+	m := dnn.TinyCNN()
+	m.InitWeights(1)
+	f := dnn.NewForwarder(m)
+	f.Workers = 1
+	for li, l := range m.Layers {
+		if !l.HasWeights() {
+			continue
+		}
+		xl, err := crossbar.Map(l.Weights, crossbar.Config{Rows: 64, Cols: 32, ADCBits: 8}, envm.CTT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Ops[li] = xl.PristineXbar()
 	}
 	assertForwardAllocFree(b, f, m, ds.Images)
 	b.ReportAllocs()

@@ -119,13 +119,15 @@ func Im2colInto(dst *Matrix, in *Tensor4, n int, cs ConvShape) {
 }
 
 // ConvScratch holds the scratch buffers of one convolution worker: the
-// im2col patch matrix, and (2:4 path only) the batched GEMM output that
-// is copied out to NCHW. Both grow to the largest layer seen and are
-// reused across calls; a scratch must never be shared between concurrent
-// workers.
+// patch matrix (im2col, or row-major patches on the crossbar path), the
+// GEMM output that is copied out to NCHW (2:4 and crossbar paths), and
+// the zero-padded image copy the crossbar lowering reads. All grow to
+// the largest layer seen and are reused across calls; a scratch must
+// never be shared between concurrent workers.
 type ConvScratch struct {
 	patches Matrix
 	gemm    Matrix
+	padded  []float32
 }
 
 // ConvWorkspace provides the per-worker scratch buffers Conv2DInto needs

@@ -173,9 +173,10 @@ func mulBand(dst []float32, a, b *Matrix, lo, hi, k, n int) {
 // a is (M x K), b is (N x K), dst is (M x N). Both operands are walked
 // row-major (dst[i][j] is the dot product of row i of a and row j of b),
 // so the fully-connected forward pass needs neither a transposed weight
-// copy nor a zero fill. Accumulation order and the zero-skip on a's
-// elements match mulBand term for term, so dst is bit-identical to
-// MulInto(dst, a, Transpose(b)). Parallelized across row bands of a.
+// copy nor a zero fill. Accumulation order matches mulBand term for
+// term, and the zero terms mulBand skips cannot change a bit (see
+// MulABtBand), so for finite b dst is bit-identical to MulInto(dst, a,
+// Transpose(b)). Parallelized across row bands of a.
 func MulABtInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MulABtInto inner dims %d != %d", a.Cols, b.Cols))
@@ -216,19 +217,49 @@ func MulABtInto(dst, a, b *Matrix) {
 // building block of MulABtInto, exported so callers that parallelize at
 // a higher level (one inference replica per worker) can run the kernel
 // with zero goroutine spawns and zero allocations.
+//
+// Four rows of a are taken per pass: each row of b is loaded once and
+// feeds four independent accumulator chains. There is no zero-element
+// skip — on post-ReLU activations that branch mispredicts constantly.
+// Each dot still sums its own products in ascending-p order, and the
+// products a skip would drop are ±0, which an accumulator seeded at +0
+// absorbs without changing a bit (it never holds -0: +0 plus any signed
+// zero is +0, and a + (-a) rounds to +0). That needs b finite (0 * Inf
+// is NaN); every weight operand the forward pass runs is.
 func MulABtBand(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Rows
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		ar0 := a.Data[(i+0)*k : (i+1)*k : (i+1)*k]
+		ar1 := a.Data[(i+1)*k : (i+2)*k : (i+2)*k]
+		ar2 := a.Data[(i+2)*k : (i+3)*k : (i+3)*k]
+		ar3 := a.Data[(i+3)*k : (i+4)*k : (i+4)*k]
+		dr0 := dst.Data[(i+0)*n : (i+1)*n]
+		dr1 := dst.Data[(i+1)*n : (i+2)*n]
+		dr2 := dst.Data[(i+2)*n : (i+3)*n]
+		dr3 := dst.Data[(i+3)*n : (i+4)*n]
+		for j := 0; j < n; j++ {
+			br := b.Data[j*k : (j+1)*k : (j+1)*k]
+			x0, x1, x2, x3 := ar0[:len(br)], ar1[:len(br)], ar2[:len(br)], ar3[:len(br)]
+			var acc0, acc1, acc2, acc3 float32
+			for p, bv := range br {
+				acc0 += x0[p] * bv
+				acc1 += x1[p] * bv
+				acc2 += x2[p] * bv
+				acc3 += x3[p] * bv
+			}
+			dr0[j], dr1[j], dr2[j], dr3[j] = acc0, acc1, acc2, acc3
+		}
+	}
+	for ; i < hi; i++ {
+		ar := a.Data[i*k : (i+1)*k : (i+1)*k]
 		dr := dst.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			br := b.Data[j*k : (j+1)*k]
+			br := b.Data[j*k : (j+1)*k : (j+1)*k]
+			x := ar[:len(br)]
 			var acc float32
-			for p, av := range ar {
-				if av == 0 {
-					continue // post-ReLU activations are mostly zero
-				}
-				acc += av * br[p]
+			for p, bv := range br {
+				acc += x[p] * bv
 			}
 			dr[j] = acc
 		}

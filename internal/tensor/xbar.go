@@ -68,58 +68,92 @@ func (x *Xbar) addClips(n int64) {
 	}
 }
 
-// quantize converts one analog partial sum through the column ADC:
-// round to the nearest step of fs/2^(b-1), clamp to the code range.
-// fs <= 0 passes the value through (see FS). The arithmetic is pure
-// float64 -> float32 with a single math.Round, so it is deterministic
-// and independent of call order.
-func quantize(p, fs float32, bits int, clips *int64) float32 {
-	if fs <= 0 {
-		return p
-	}
-	half := float64(int64(1) << uint(bits-1))
-	step := float64(fs) / half
-	q := math.Round(float64(p) / step)
-	if q > half-1 {
-		q = half - 1
-		*clips++
-	} else if q < -half {
-		q = -half
-		*clips++
-	}
-	return float32(q * step)
-}
-
-// dotTiled computes one output element: the a-row x weight-row dot
-// product with a per-row-tile ADC conversion. ar and wr have equal
-// length In; fs indexes this column's full-scale per row tile.
-func dotTiled(ar, wr []float32, x *Xbar, j int, clips *int64) float32 {
-	in := len(wr)
-	out := x.W.Rows
-	var acc float32
-	for lo, rt := 0, 0; lo < in; lo, rt = lo+x.TileRows, rt+1 {
-		hi := lo + x.TileRows
-		if hi > in {
-			hi = in
+// xbarBand is the one crossbar kernel: rows [lo, hi) of dst = a * Weffᵀ
+// (a is M x K row-major, dst M x Out) with a per-row-tile ADC
+// conversion between accumulation windows. It returns the clip count.
+//
+// Four rows of a are taken per pass (a ragged last pass re-reads its
+// last row in the spare slots and discards those results): each weight
+// row tile is loaded once and feeds four independent accumulator
+// chains, and the column's ADC step fs/2^(bits-1) is computed once for
+// the partials it quantizes. The quantizer is a symmetric mid-tread:
+// round to the nearest step, clamp to the code range [-half, half-1],
+// count a clip per clamp; fs <= 0 passes the partial through. The step
+// is the same float64 value for every partial, and the division stays
+// (a reciprocal multiply rounds differently), so each conversion is a
+// pure function of (partial, fs, bits).
+//
+// There is no zero-activation skip. Each output still sums its own
+// products in ascending-p order, so the only terms the skip used to
+// drop are products with a zero factor, i.e. ±0 — and a partial seeded
+// at +0 never holds -0 (+0 plus any signed zero is +0, and a + (-a)
+// rounds to +0), so adding them changes no bit. That argument needs
+// finite weights (0 * Inf is NaN); every trial route builds finite
+// operands.
+func xbarBand(dst, a *Matrix, x *Xbar, lo, hi int) int64 {
+	k, n := a.Cols, x.W.Rows
+	tr := x.TileRows
+	half := float64(int64(1) << uint(x.ADCBits-1))
+	var clips int64
+	for i := lo; i < hi; i += 4 {
+		nr := min(4, hi-i)
+		row := func(r int) []float32 {
+			r = i + min(r, nr-1)
+			return a.Data[r*k : (r+1)*k : (r+1)*k]
 		}
-		var partial float32
-		for p := lo; p < hi; p++ {
-			av := ar[p]
-			if av == 0 {
-				continue // post-ReLU activations are mostly zero
+		ar0, ar1, ar2, ar3 := row(0), row(1), row(2), row(3)
+		for j := 0; j < n; j++ {
+			wr := x.W.Data[j*k : (j+1)*k : (j+1)*k]
+			var acc [4]float32
+			for p0, rt := 0, 0; p0 < k; p0, rt = p0+tr, rt+1 {
+				p1 := min(p0+tr, k)
+				w := wr[p0:p1]
+				b0, b1, b2, b3 := ar0[p0:p1][:len(w)], ar1[p0:p1][:len(w)], ar2[p0:p1][:len(w)], ar3[p0:p1][:len(w)]
+				var s0, s1, s2, s3 float32
+				for p, wv := range w {
+					s0 += b0[p] * wv
+					s1 += b1[p] * wv
+					s2 += b2[p] * wv
+					s3 += b3[p] * wv
+				}
+				fs := x.FS[rt*n+j]
+				if fs <= 0 {
+					part := [4]float32{s0, s1, s2, s3}
+					for r := 0; r < nr; r++ {
+						acc[r] += part[r]
+					}
+					continue
+				}
+				// All four divisions issue before the first rounding
+				// branch, so a mispredict there cannot serialize them.
+				step := float64(fs) / half
+				quo := [4]float64{float64(s0) / step, float64(s1) / step, float64(s2) / step, float64(s3) / step}
+				for r := 0; r < nr; r++ {
+					q := math.Round(quo[r])
+					if q > half-1 {
+						q = half - 1
+						clips++
+					} else if q < -half {
+						q = -half
+						clips++
+					}
+					acc[r] += float32(q * step)
+				}
 			}
-			partial += av * wr[p]
+			for r := 0; r < nr; r++ {
+				dst.Data[(i+r)*n+j] = acc[r]
+			}
 		}
-		acc += quantize(partial, x.FS[rt*out+j], x.ADCBits, clips)
 	}
-	return acc
+	return clips
 }
 
 // MulABtXbarBand computes rows [lo, hi) of dst = a * Weffᵀ through the
 // crossbar dataflow: dst[i][j] sums the ADC-quantized per-tile partial
 // dot products of a's row i and Weff's row j. It is the FC twin of
 // MulABtBand and runs strictly serially — the ares replica pool
-// parallelizes at trial level, one Forwarder per worker.
+// parallelizes at trial level, one Forwarder per worker. Weff must be
+// finite (see xbarBand).
 func MulABtXbarBand(dst, a *Matrix, x *Xbar, lo, hi int) {
 	x.check()
 	if a.Cols != x.W.Cols {
@@ -128,76 +162,86 @@ func MulABtXbarBand(dst, a *Matrix, x *Xbar, lo, hi int) {
 	if dst.Rows != a.Rows || dst.Cols != x.W.Rows {
 		panic("tensor: MulABtXbarBand dst shape mismatch")
 	}
-	k, n := a.Cols, x.W.Rows
-	var clips int64
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		dr := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			dr[j] = dotTiled(ar, x.W.Data[j*k:(j+1)*k], x, j, &clips)
-		}
-	}
-	x.addClips(clips)
-}
-
-// mulXbar computes dst = Weff * b (Weff is Out x K, b is K x N) with
-// the per-row-tile ADC between accumulation windows — the GEMM behind
-// the crossbar convolution path. scratch must hold at least N floats
-// (a per-worker ConvScratch row); it carries the running analog
-// partial of the current row tile.
-func mulXbar(dst []float32, x *Xbar, b *Matrix, scratch []float32, clips *int64) {
-	k, n := b.Rows, b.Cols
-	out := x.W.Rows
-	for j := 0; j < out; j++ {
-		wr := x.W.Data[j*k : (j+1)*k]
-		dr := dst[j*n : (j+1)*n]
-		for i := range dr {
-			dr[i] = 0
-		}
-		for lo, rt := 0, 0; lo < k; lo, rt = lo+x.TileRows, rt+1 {
-			hi := lo + x.TileRows
-			if hi > k {
-				hi = k
-			}
-			part := scratch[:n]
-			for i := range part {
-				part[i] = 0
-			}
-			for p := lo; p < hi; p++ {
-				wv := wr[p]
-				if wv == 0 {
-					continue // pruned weights stay zero rows
-				}
-				br := b.Data[p*n : (p+1)*n]
-				for i, bv := range br {
-					part[i] += wv * bv
-				}
-			}
-			fs := x.FS[rt*out+j]
-			for i, pv := range part {
-				dr[i] += quantize(pv, fs, x.ADCBits, clips)
-			}
-		}
-	}
+	x.addClips(xbarBand(dst, a, x, lo, hi))
 }
 
 // Conv2DXbarInto is Conv2DInto with the layer routed through the
-// crossbar kernels: each image is lowered with im2col and multiplied
-// by the effective weights with per-tile ADC quantization. It runs the
-// batch serially with worker 0's scratch whatever ws.Workers says —
-// the crossbar route parallelizes at trial level, one replica per
-// worker.
+// crossbar kernel. Each image is lowered to a row-major patch matrix,
+// (OutH*OutW) x (InC*KH*KW), one patch per output position laid out
+// like a weight row, so the convolution is xbarBand with the output
+// positions as rows; the result is copied out to NCHW and the bias
+// added. Each output sums the same products in the same order as the
+// im2col formulation, so the bits match it. The batch runs serially
+// with worker 0's scratch whatever ws.Workers says — the crossbar
+// route parallelizes at trial level, one replica per worker.
 func Conv2DXbarInto(out *Tensor4, in *Tensor4, x *Xbar, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	x.check()
 	checkConv(out, in, x.W.Rows, x.W.Cols, cs)
 	sc := ws.scratchFor(0)
 	ohw := cs.OutH() * cs.OutW()
-	sc.gemm.Reshape(1, ohw)
+	sc.gemm.Reshape(ohw, cs.OutC)
 	var clips int64
 	for n := 0; n < in.N; n++ {
-		Im2colInto(&sc.patches, in, n, cs)
-		mulXbar(out.Image(n), x, &sc.patches, sc.gemm.Data, &clips)
-		addConvBias(out.Image(n), bias, cs)
+		sc.lowerRows(in, n, cs)
+		clips += xbarBand(&sc.gemm, &sc.patches, x, 0, ohw)
+		img := out.Image(n)
+		for c := 0; c < cs.OutC; c++ {
+			plane := img[c*ohw : (c+1)*ohw]
+			for pos := range plane {
+				plane[pos] = sc.gemm.Data[pos*cs.OutC+c]
+			}
+		}
+		addConvBias(img, bias, cs)
 	}
 	x.addClips(clips)
+}
+
+// lowerRows lowers image n of in into sc.patches as a row-major patch
+// matrix: row oy*OutW+ox holds the receptive field of output (oy, ox)
+// in (c, kh, kw) order, the column order of the conv weight matrix.
+// With Pad > 0 the image is first copied into a zero-padded plane, so
+// every (c, kh) segment of a patch is one contiguous run of KW values.
+func (sc *ConvScratch) lowerRows(in *Tensor4, n int, cs ConvShape) {
+	oh, ow := cs.OutH(), cs.OutW()
+	k := cs.InC * cs.KH * cs.KW
+	sc.patches.Reshape(oh*ow, k)
+	src, h, w := in.Image(n), cs.InH, cs.InW
+	if p := cs.Pad; p > 0 {
+		h, w = cs.InH+2*p, cs.InW+2*p
+		if need := cs.InC * h * w; cap(sc.padded) < need {
+			sc.padded = make([]float32, need)
+		} else {
+			sc.padded = sc.padded[:need]
+		}
+		clear(sc.padded)
+		for c := 0; c < cs.InC; c++ {
+			for y := 0; y < cs.InH; y++ {
+				row := src[(c*cs.InH+y)*cs.InW : (c*cs.InH+y+1)*cs.InW]
+				copy(sc.padded[(c*h+y+p)*w+p:], row)
+			}
+		}
+		src = sc.padded
+	}
+	kw, plane := cs.KW, h*w
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			row := sc.patches.Data[(oy*ow+ox)*k : (oy*ow+ox+1)*k]
+			corner := oy*cs.Stride*w + ox*cs.Stride
+			o := 0
+			for c := 0; c < cs.InC; c++ {
+				off := c*plane + corner
+				for kh := 0; kh < cs.KH; kh++ {
+					// An element loop, not the copy builtin: at the
+					// zoo's kernel widths (3 to 7) a memmove call costs
+					// more than the copy itself.
+					seg, from := row[o:o+kw], src[off:off+kw]
+					for i := range seg {
+						seg[i] = from[i]
+					}
+					o += kw
+					off += w
+				}
+			}
+		}
+	}
 }

@@ -32,9 +32,10 @@ func denseRand(rows, cols int, seed uint64) *Matrix {
 
 // TestQuantize pins the symmetric mid-tread quantizer: rounding, the
 // asymmetric clamp range [-2^(b-1), 2^(b-1)-1], clip counting, and the
-// fs<=0 passthrough.
+// fs<=0 passthrough — on the reference quantizer and through the
+// kernel (a 1x1 crossbar with unit weight converts a = p exactly).
 func TestQuantize(t *testing.T) {
-	var clips int64
+	var clips, kernelClips int64
 	cases := []struct {
 		p, fs float32
 		bits  int
@@ -47,14 +48,26 @@ func TestQuantize(t *testing.T) {
 		{-2.6, 1, 1, -1},    // clamps to -half (clip)
 		{0.33, 0, 4, 0.33},  // fs<=0 passes through
 		{0.33, -1, 4, 0.33}, // negative fs passes through too
+		// Half-step ties: p/step is exactly ±0.5 and rounds away from
+		// zero, where p*(1/step) lands just inside and rounds to 0 — the
+		// reason the kernel keeps the division.
+		{f32(0xbdeb3808), f32(0x3f6b3808), 3, -f32(0x3f6b3808) / 4},
+		{f32(0x3e4f647f), f32(0x3fcf647f), 3, f32(0x3fcf647f) / 4},
 	}
 	for _, c := range cases {
-		if got := quantize(c.p, c.fs, c.bits, &clips); got != c.want {
-			t.Errorf("quantize(%v, fs=%v, b=%d) = %v, want %v", c.p, c.fs, c.bits, got, c.want)
+		if got := refQuantize(c.p, c.fs, c.bits, &clips); got != c.want {
+			t.Errorf("refQuantize(%v, fs=%v, b=%d) = %v, want %v", c.p, c.fs, c.bits, got, c.want)
 		}
+		x := xbarFor(FromSlice(1, 1, []float32{1}), 1, c.bits, c.fs)
+		dst := NewMatrix(1, 1)
+		MulABtXbarBand(dst, FromSlice(1, 1, []float32{c.p}), x, 0, 1)
+		if got := dst.Data[0]; got != c.want {
+			t.Errorf("kernel(%v, fs=%v, b=%d) = %v, want %v", c.p, c.fs, c.bits, got, c.want)
+		}
+		kernelClips += x.Clips.Load()
 	}
-	if clips != 2 {
-		t.Errorf("clip count = %d, want 2", clips)
+	if clips != 2 || kernelClips != 2 {
+		t.Errorf("clip counts = %d (reference), %d (kernel), want 2", clips, kernelClips)
 	}
 }
 
@@ -126,6 +139,8 @@ func TestXbarClipCounting(t *testing.T) {
 		t.Fatalf("ClipCounter = %d, want 2", ext.Load())
 	}
 }
+
+func f32(bits uint32) float32 { return math.Float32frombits(bits) }
 
 type counterFunc struct{ v *atomic.Int64 }
 
