@@ -3,6 +3,9 @@
 #   make check   - tier 1: build + full test suite + vet + race pass on
 #                  the concurrency-heavy packages (the seed contract)
 #                  + the servesim end-to-end smoke
+#   make test-repeat - the kernel, forward-pass and evaluator tests run
+#                  twice in one process, so a test that leans on a cold
+#                  shared cache fails
 #   make alloc-free - the allocation-free forward-pass proofs (dense,
 #                  2:4 and crossbar operands), which live in benchmarks
 #                  and so never run under `go test ./...`
@@ -34,17 +37,23 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/dnn internal/core
 
-.PHONY: all check build test alloc-free race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
+.PHONY: all check build test test-repeat alloc-free race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
 all: check race
 
-check: build test vet alloc-free race-fast serve-smoke chaos
+check: build test test-repeat vet alloc-free race-fast serve-smoke chaos
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Package-level fixtures (the ares tests' shared measured evaluator and
+# its crossbar cache) outlive one run under -count=2; a test that only
+# passes against a cold fixture fails here.
+test-repeat:
+	$(GO) test -count=2 ./internal/tensor/... ./internal/dnn/... ./internal/ares/...
 
 # The benchmark harness is its own module (perfbench/go.mod), so the
 # root ./... pattern skips it; vet it separately so an API it calls

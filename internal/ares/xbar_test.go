@@ -168,13 +168,22 @@ func TestEvalConfigCrossbar(t *testing.T) {
 }
 
 // TestXbarStateCache: one pristine mapping serves every config sharing
-// a tech + mapping key; fault and policy knobs do not rebuild it.
+// a tech + mapping key; fault and policy knobs do not rebuild it. The
+// evaluator is shared across tests (and across -count runs), so the
+// keys under test are evicted first: the miss count then holds
+// whatever the cache held before.
 func TestXbarStateCache(t *testing.T) {
 	ev := getMeasured(t)
-	misses0 := met.cacheMisses.Value()
 	a := xbarCfg(crossbar.Config{Rows: 48, Cols: 24})
 	b := xbarCfg(crossbar.Config{Rows: 48, Cols: 24, VarSigma: 0.1, StuckColRate: 1e-2,
 		SpareCols: 3, DetectSigma: 5, MaxRemaps: 2})
+	c := xbarCfg(crossbar.Config{Rows: 48, Cols: 24, ADCBits: 8})
+	ev.xbarMu.Lock()
+	for _, cfg := range []Config{a, c} {
+		delete(ev.xbarCache, cfg.Tech.Name+"|"+cfg.Crossbar.MapKey())
+	}
+	ev.xbarMu.Unlock()
+	misses0 := met.cacheMisses.Value()
 	xa, err := ev.xbar(a)
 	if err != nil {
 		t.Fatal(err)
@@ -189,13 +198,12 @@ func TestXbarStateCache(t *testing.T) {
 	if m := met.cacheMisses.Value() - misses0; m != 1 {
 		t.Fatalf("cache misses += %d for one mapping key, want 1", m)
 	}
-	c := xbarCfg(crossbar.Config{Rows: 48, Cols: 24, ADCBits: 8})
 	xcState, err := ev.xbar(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xcState == xa {
-		t.Fatal("ADC design change must rebuild the mapping")
+	if m := met.cacheMisses.Value() - misses0; xcState == xa || m != 2 {
+		t.Fatalf("ADC design change must rebuild the mapping (cache misses += %d, want 2)", m)
 	}
 	if xcState.base.err < xa.base.err {
 		t.Fatalf("ADC-mapped baseline %v below ideal baseline %v: quantization cannot help",

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Tensor4 is a dense NCHW float32 tensor (batch, channels, height, width).
 type Tensor4 struct {
@@ -73,44 +69,56 @@ func (c ConvShape) Validate() error {
 // shape (InC*KH*KW) x (OutH*OutW), so that convolution becomes a single
 // matrix multiplication with the (OutC) x (InC*KH*KW) weight matrix. This
 // mirrors how NVDLA's convolution core consumes weights as a 2-D mapping,
-// which is also the layout CSR encoding operates on (Section 3.2.1).
+// which is also the layout CSR encoding operates on (Section 3.2.1). The
+// forward pass lowers whole image blocks the same way (see conv2D); the
+// trainer's backward pass lowers one image at a time through here.
 func Im2col(in *Tensor4, n int, cs ConvShape) *Matrix {
 	out := &Matrix{}
-	Im2colInto(out, in, n, cs)
+	im2colBatch(out, in, cs, n, n+1)
 	return out
 }
 
-// Im2colInto is Im2col into a reusable destination: dst is reshaped to
-// (InC*KH*KW) x (OutH*OutW), zeroed (padding positions must not leak
-// values from a previous image), and filled. With a recycled dst the
-// call allocates nothing once the buffer has grown to the layer's size.
-func Im2colInto(dst *Matrix, in *Tensor4, n int, cs ConvShape) {
+// im2colBatch lowers images [lo, hi) into one k x (hi-lo)*ohw patch
+// matrix: image i occupies the ohw-wide column block (i-lo)*ohw, laid
+// out as Im2col lays out one image. dst is reshaped and zeroed first
+// (padding positions must not leak values from a previous block);
+// stride-1 kernel rows are copied as contiguous runs instead of
+// element-by-element.
+func im2colBatch(dst *Matrix, in *Tensor4, cs ConvShape, lo, hi int) {
 	oh, ow := cs.OutH(), cs.OutW()
-	dst.Reshape(cs.InC*cs.KH*cs.KW, oh*ow)
-	out := dst
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	img := in.Image(n)
-	for c := 0; c < cs.InC; c++ {
-		chanBase := c * cs.InH * cs.InW
-		for kh := 0; kh < cs.KH; kh++ {
-			for kw := 0; kw < cs.KW; kw++ {
-				rowIdx := (c*cs.KH+kh)*cs.KW + kw
-				dst := out.Row(rowIdx)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*cs.Stride + kh - cs.Pad
-					if iy < 0 || iy >= cs.InH {
-						continue // leave zeros (padding)
-					}
-					srcRow := chanBase + iy*cs.InW
-					dstRow := oy * ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*cs.Stride + kw - cs.Pad
-						if ix < 0 || ix >= cs.InW {
+	ohw := oh * ow
+	dst.Reshape(cs.InC*cs.KH*cs.KW, (hi-lo)*ohw)
+	clear(dst.Data)
+	for i := lo; i < hi; i++ {
+		img := in.Image(i)
+		colOff := (i - lo) * ohw
+		for c := 0; c < cs.InC; c++ {
+			chanBase := c * cs.InH * cs.InW
+			for kh := 0; kh < cs.KH; kh++ {
+				for kw := 0; kw < cs.KW; kw++ {
+					row := dst.Row((c*cs.KH+kh)*cs.KW + kw)[colOff : colOff+ohw]
+					for oy := 0; oy < oh; oy++ {
+						iy := oy*cs.Stride + kh - cs.Pad
+						if iy < 0 || iy >= cs.InH {
+							continue // leave zeros (padding)
+						}
+						srcRow := chanBase + iy*cs.InW
+						dstRow := oy * ow
+						if cs.Stride == 1 {
+							off := kw - cs.Pad
+							xlo, xhi := max(0, -off), min(ow, cs.InW-off)
+							if xlo < xhi {
+								copy(row[dstRow+xlo:dstRow+xhi], img[srcRow+xlo+off:srcRow+xhi+off])
+							}
 							continue
 						}
-						dst[dstRow+ox] = img[srcRow+ix]
+						for ox := 0; ox < ow; ox++ {
+							ix := ox*cs.Stride + kw - cs.Pad
+							if ix < 0 || ix >= cs.InW {
+								continue
+							}
+							row[dstRow+ox] = img[srcRow+ix]
+						}
 					}
 				}
 			}
@@ -119,11 +127,11 @@ func Im2colInto(dst *Matrix, in *Tensor4, n int, cs ConvShape) {
 }
 
 // ConvScratch holds the scratch buffers of one convolution worker: the
-// patch matrix (im2col, or row-major patches on the crossbar path), the
-// GEMM output that is copied out to NCHW (2:4 and crossbar paths), and
-// the zero-padded image copy the crossbar lowering reads. All grow to
-// the largest layer seen and are reused across calls; a scratch must
-// never be shared between concurrent workers.
+// patch matrix (a batched im2col block, or row-major patches on the
+// crossbar path), the GEMM output that is copied out to NCHW, and the
+// zero-padded image copy the crossbar lowering reads. All grow to the
+// largest layer seen and are reused across calls; a scratch must never
+// be shared between concurrent workers.
 type ConvScratch struct {
 	patches Matrix
 	gemm    Matrix
@@ -161,66 +169,76 @@ func Conv2D(in *Tensor4, weights *Matrix, bias []float32, cs ConvShape) *Tensor4
 	return out
 }
 
-// Conv2DInto is Conv2D into a caller-owned output tensor, parallelized
-// across batch images: each worker lowers and multiplies its own images
-// with a private ConvScratch, so no scratch state is shared between
-// goroutines and a reused workspace allocates nothing in steady state.
-// Single-image batches fall back to row-band parallelism inside the
-// GEMM instead. Per-element arithmetic is identical for every worker
-// count.
+// Conv2DInto is Conv2D into a caller-owned output tensor with a
+// reusable workspace; a reused workspace allocates nothing in steady
+// state. It runs conv2D, the driver 2:4 weights share.
 func Conv2DInto(out *Tensor4, in *Tensor4, weights *Matrix, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	checkConv(out, in, weights.Rows, weights.Cols, cs)
-	workers := ws.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > in.N {
-		workers = in.N
-	}
-	if workers <= 1 {
-		// One image (or one worker): the only parallelism worth having is
-		// row bands inside the GEMM; the caller's Workers bound still
-		// applies so replica-style callers stay goroutine-free.
-		sc := ws.scratchFor(0)
-		k, ohw := cs.InC*cs.KH*cs.KW, cs.OutH()*cs.OutW()
-		for n := 0; n < in.N; n++ {
-			Im2colInto(&sc.patches, in, n, cs)
-			mulParallel(out.Image(n), weights, &sc.patches, cs.OutC, k, ohw, ws.Workers)
-			addConvBias(out.Image(n), bias, cs)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	band := (in.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * band
-		hi := lo + band
-		if hi > in.N {
-			hi = in.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int, sc *ConvScratch) {
-			defer wg.Done()
-			convImages(out, in, weights, bias, cs, sc, lo, hi)
-		}(lo, hi, ws.scratchFor(w))
-	}
-	wg.Wait()
+	conv2D(out, in, weights, bias, cs, ws)
 }
 
-// convImages runs images [lo, hi) serially with one private scratch: the
-// per-image GEMM goes straight into the output tensor (mulBand clears
-// its destination rows itself, so no zero fill or product copy is
-// needed).
-func convImages(out, in *Tensor4, weights *Matrix, bias []float32, cs ConvShape, sc *ConvScratch, lo, hi int) {
-	k, ohw := cs.InC*cs.KH*cs.KW, cs.OutH()*cs.OutW()
-	for n := lo; n < hi; n++ {
-		Im2colInto(&sc.patches, in, n, cs)
-		mulBand(out.Image(n), weights, &sc.patches, 0, cs.OutC, k, ohw)
-		addConvBias(out.Image(n), bias, cs)
+// conv2D is the one convolution driver for dense and 2:4 weights; only
+// the band GEMM (w.mulBand) differs between them. The batch is cut into
+// image bands across ws.Workers, each convolved by convBand with a
+// private ConvScratch, so no scratch state is shared between
+// goroutines. When the batch runs as one band (one image, one worker,
+// or a small layer), the worker bound applies inside the GEMM instead
+// as row bands. Each output element accumulates the same terms in the
+// same ascending order for every worker count and block width, so the
+// bits never depend on either.
+func conv2D(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, ws *ConvWorkspace) {
+	macs := in.N * cs.OutC * cs.InC * cs.KH * cs.KW * cs.OutH() * cs.OutW()
+	if nb := bandCount(in.N, ws.Workers, macs); nb > 1 {
+		ws.scratchFor(nb - 1) // grown here: the bands only read the pool
+		pool := ws.scratch
+		runBands(in.N, nb, func(b, lo, hi int) {
+			convBand(out, in, w, bias, cs, pool[b], 1, lo, hi)
+		})
+		return
 	}
+	convBand(out, in, w, bias, cs, ws.scratchFor(0), ws.Workers, 0, in.N)
+}
+
+// convBand convolves images [lo, hi) with one private scratch, in
+// image blocks sized to keep the patch matrix cache-resident: per block,
+// one batched im2col, one GEMM (row bands bounded by gemmWorkers), then
+// a fused bias-add/copy-out from the channel-major GEMM layout to NCHW.
+// The block bound balances two costs: per-image GEMMs on tiny output
+// planes pay the per-weight-row setup once per image, while one
+// whole-batch patch matrix spills L2 and turns every AXPY into a memory
+// stream.
+func convBand(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, sc *ConvScratch, gemmWorkers, lo, hi int) {
+	k, ohw := cs.InC*cs.KH*cs.KW, cs.OutH()*cs.OutW()
+	block := convBlockImages(cs)
+	for b0 := lo; b0 < hi; b0 += block {
+		b1 := min(b0+block, hi)
+		im2colBatch(&sc.patches, in, cs, b0, b1)
+		sc.gemm.Reshape(cs.OutC, (b1-b0)*ohw)
+		mulBands(sc.gemm.Data, w, cs.OutC, k, &sc.patches, gemmWorkers)
+		for c := 0; c < cs.OutC; c++ {
+			row := sc.gemm.Row(c)
+			for i := b0; i < b1; i++ {
+				plane := out.Image(i)[c*ohw : (c+1)*ohw]
+				seg := row[(i-b0)*ohw : (i-b0+1)*ohw : (i-b0+1)*ohw]
+				if bias == nil {
+					copy(plane, seg)
+					continue
+				}
+				// Same per-element op as addConvBias on a finished image.
+				b := bias[c]
+				for j := range seg {
+					plane[j] = seg[j] + b
+				}
+			}
+		}
+	}
+}
+
+// convBlockImages is the number of images convBand lowers per block: as
+// many as keep the float32 patch block within 256 KB, well inside L2.
+func convBlockImages(cs ConvShape) int {
+	const patchBudget = 256 << 10
+	return max(1, patchBudget/(4*cs.InC*cs.KH*cs.KW*cs.OutH()*cs.OutW()))
 }
 
 // addConvBias adds the per-output-channel bias to one image.

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestConvShapeOutputDims(t *testing.T) {
 	cs := ConvShape{InC: 1, OutC: 1, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 8, InW: 8}
@@ -66,6 +63,54 @@ func convRef(in *Tensor4, w *Matrix, bias []float32, cs ConvShape) *Tensor4 {
 	return out
 }
 
+// convGrid pins one weight form of the shared conv driver to convRef,
+// bit for bit: N = 1, 6 and a batch of 120 that the patch budget splits
+// into several blocks, every worker bound, stride 1/2, pad 0/1/2, bias
+// nil and set, and inputs full of signed zeros. weights returns the
+// form's operand and the dense matrix convRef reads.
+func convGrid(t *testing.T, weights func(rows, cols int, seed uint64) (Operand, *Matrix)) {
+	t.Helper()
+	shapes := []ConvShape{
+		{InC: 3, OutC: 5, KH: 3, KW: 3, InH: 9, InW: 7},
+		{InC: 2, OutC: 5, KH: 5, KW: 3, InH: 11, InW: 11},
+		{InC: 1, OutC: 8, KH: 3, KW: 3, InH: 12, InW: 12},
+	}
+	split := false
+	for si, cs := range shapes {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				cs.Stride, cs.Pad = stride, pad
+				op, dense := weights(cs.OutC, cs.InC*cs.KH*cs.KW, uint64(si*10+stride*3+pad))
+				ns := []int{1, 6}
+				if si == len(shapes)-1 {
+					ns = append(ns, 120)
+				}
+				for _, n := range ns {
+					split = split || n > convBlockImages(cs)
+					in := &Tensor4{N: n, C: cs.InC, H: cs.InH, W: cs.InW, Data: gridRand(n*cs.InC*cs.InH*cs.InW, uint64(n*7+si))}
+					for _, bias := range [][]float32{nil, gridRand(cs.OutC, 99)} {
+						want := convRef(in, dense, bias, cs)
+						for _, workers := range []int{0, 1, 2, 7} {
+							out := NewTensor4(n, cs.OutC, cs.OutH(), cs.OutW())
+							for i := range out.Data {
+								out.Data[i] = 77 // dirty: the driver must overwrite every element
+							}
+							op.ConvInto(out, in, bias, cs, &ConvWorkspace{Workers: workers})
+							if i := sameBits(out.Data, want.Data); i >= 0 {
+								t.Fatalf("%+v N=%d workers=%d bias=%v: element %d is %v, reference %v",
+									cs, n, workers, bias != nil, i, out.Data[i], want.Data[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !split {
+		t.Fatal("no batch spans several patch blocks; the block loop is untested")
+	}
+}
+
 func TestConv2DMatchesReference(t *testing.T) {
 	cs := ConvShape{InC: 3, OutC: 4, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 7, InW: 5}
 	in := NewTensor4(2, cs.InC, cs.InH, cs.InW)
@@ -79,11 +124,13 @@ func TestConv2DMatchesReference(t *testing.T) {
 	bias := []float32{0.5, -0.5, 1, 0}
 	got := Conv2D(in, w, bias, cs)
 	want := convRef(in, w, bias, cs)
-	for i := range want.Data {
-		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-3 {
-			t.Fatalf("conv mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
+	if i := sameBits(got.Data, want.Data); i >= 0 {
+		t.Fatalf("conv mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
 	}
+	convGrid(t, func(rows, cols int, seed uint64) (Operand, *Matrix) {
+		w := FromSlice(rows, cols, gridRand(rows*cols, seed))
+		return w, w
+	})
 }
 
 func TestConv2DStride2(t *testing.T) {

@@ -33,7 +33,7 @@ func TestMulIntoOverwritesDirtyDst(t *testing.T) {
 }
 
 func TestMulABtMatchesMulTranspose(t *testing.T) {
-	// MulABtInto must be bit-identical to Mul(a, bᵀ) — the replica
+	// Matrix.MulABt must be bit-identical to Mul(a, bᵀ) — the replica
 	// parity proof leans on this — on both the serial and parallel paths.
 	for _, sz := range [][3]int{{2, 3, 4}, {48, 96, 64}} {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -44,7 +44,7 @@ func TestMulABtMatchesMulTranspose(t *testing.T) {
 		want := Mul(a, b.Transpose())
 		got := NewMatrix(m, n)
 		got.Fill(-1)
-		MulABtInto(got, a, b)
+		b.MulABt(got, a, 0)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("%dx%dx%d: MulABt differs at %d: %v vs %v",
@@ -62,7 +62,7 @@ func TestMulABtBandMatchesInto(t *testing.T) {
 	fillPattern(a.Data, 13, 17, 3)
 	fillPattern(b.Data, 29, 19, 4)
 	par := NewMatrix(m, n)
-	MulABtInto(par, a, b)
+	b.MulABt(par, a, 0)
 	ser := NewMatrix(m, n)
 	ser.Fill(42)
 	MulABtBand(ser, a, b, 0, m)
@@ -75,8 +75,8 @@ func TestMulABtBandMatchesInto(t *testing.T) {
 
 func TestMulABtShapePanics(t *testing.T) {
 	cases := []func(){
-		func() { MulABtInto(NewMatrix(2, 4), NewMatrix(2, 3), NewMatrix(4, 5)) }, // inner dims
-		func() { MulABtInto(NewMatrix(3, 4), NewMatrix(2, 3), NewMatrix(4, 3)) }, // dst shape
+		func() { NewMatrix(4, 5).MulABt(NewMatrix(2, 4), NewMatrix(2, 3), 0) }, // inner dims
+		func() { NewMatrix(4, 3).MulABt(NewMatrix(3, 4), NewMatrix(2, 3), 1) }, // dst shape
 	}
 	for i, f := range cases {
 		func() {
@@ -173,27 +173,44 @@ func TestConv2DIntoOutputShapePanics(t *testing.T) {
 
 func TestIm2colIntoScratchReuse(t *testing.T) {
 	// A scratch that previously held a larger, fully-populated patch
-	// matrix must come back with clean padding zeros for a padded layer.
+	// block must come back from the shared lowering with clean padding
+	// zeros for a padded layer, whole batch block and single image alike.
 	big := ConvShape{InC: 4, OutC: 1, KH: 3, KW: 3, Pad: 0, Stride: 1, InH: 10, InW: 10}
-	small := ConvShape{InC: 1, OutC: 1, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 5, InW: 5}
-	inBig := NewTensor4(1, 4, 10, 10)
+	inBig := NewTensor4(3, 4, 10, 10)
 	for i := range inBig.Data {
 		inBig.Data[i] = 9 // poison every scratch cell
 	}
-	inSmall := NewTensor4(1, 1, 5, 5)
-	fillPattern(inSmall.Data, 7, 5, 1)
-
-	var scratch Matrix
-	Im2colInto(&scratch, inBig, 0, big)
-	Im2colInto(&scratch, inSmall, 0, small)
-	want := Im2col(inSmall, 0, small)
-	if scratch.Rows != want.Rows || scratch.Cols != want.Cols {
-		t.Fatalf("reused scratch shape %dx%d, want %dx%d",
-			scratch.Rows, scratch.Cols, want.Rows, want.Cols)
-	}
-	for i := range want.Data {
-		if scratch.Data[i] != want.Data[i] {
-			t.Fatalf("stale scratch value at %d: %v vs %v", i, scratch.Data[i], want.Data[i])
+	for _, small := range []ConvShape{
+		{InC: 1, OutC: 1, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 5, InW: 5},
+		{InC: 2, OutC: 1, KH: 3, KW: 3, Pad: 2, Stride: 2, InH: 5, InW: 5},
+	} {
+		inSmall := NewTensor4(2, small.InC, 5, 5)
+		fillPattern(inSmall.Data, 7, 5, 1)
+		for _, imgs := range [][2]int{{0, 2}, {1, 2}} {
+			var scratch Matrix
+			im2colBatch(&scratch, inBig, big, 0, 3)
+			im2colBatch(&scratch, inSmall, small, imgs[0], imgs[1])
+			k, ohw := small.InC*small.KH*small.KW, small.OutH()*small.OutW()
+			if scratch.Rows != k || scratch.Cols != (imgs[1]-imgs[0])*ohw {
+				t.Fatalf("reused scratch shape %dx%d, want %dx%d", scratch.Rows, scratch.Cols, k, (imgs[1]-imgs[0])*ohw)
+			}
+			// Reference placement straight from the conv definition.
+			for n := imgs[0]; n < imgs[1]; n++ {
+				for r := 0; r < k; r++ {
+					c, kh, kw := r/(small.KH*small.KW), r/small.KW%small.KH, r%small.KW
+					for pos := 0; pos < ohw; pos++ {
+						iy := pos/small.OutW()*small.Stride + kh - small.Pad
+						ix := pos%small.OutW()*small.Stride + kw - small.Pad
+						var want float32
+						if iy >= 0 && iy < small.InH && ix >= 0 && ix < small.InW {
+							want = inSmall.At(n, c, iy, ix)
+						}
+						if got := scratch.At(r, (n-imgs[0])*ohw+pos); got != want {
+							t.Fatalf("%+v images %v: patch (%d, image %d pos %d) = %v, want %v", small, imgs, r, n, pos, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

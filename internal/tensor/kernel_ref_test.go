@@ -122,11 +122,9 @@ func refMulXbar(dst []float32, x *Xbar, b *Matrix, clips *int64) {
 // refConv2DXbarInto is the im2col crossbar convolution; it returns the
 // clip count instead of publishing it.
 func refConv2DXbarInto(out, in *Tensor4, x *Xbar, bias []float32, cs ConvShape) int64 {
-	var patches Matrix
 	var clips int64
 	for n := 0; n < in.N; n++ {
-		Im2colInto(&patches, in, n, cs)
-		refMulXbar(out.Image(n), x, &patches, &clips)
+		refMulXbar(out.Image(n), x, Im2col(in, n, cs), &clips)
 		addConvBias(out.Image(n), bias, cs)
 	}
 	return clips

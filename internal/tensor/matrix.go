@@ -1,8 +1,18 @@
 // Package tensor implements the minimal dense linear-algebra substrate
 // needed to run real DNN inference and training in pure Go: float32
-// matrices and 4-D tensors, blocked parallel matrix multiplication,
-// im2col-based convolution, pooling, and the activation functions used by
-// the model zoo.
+// matrices and 4-D tensors, matrix multiplication, convolution,
+// pooling, and the activation functions used by the model zoo.
+//
+// Layer weights come in three forms behind one Operand interface:
+// dense (*Matrix), compute-direct 2:4 (*Sparse24) and crossbar
+// compute-in-memory (*Xbar). Dense and 2:4 convolution share one
+// driver (conv2D: batched im2col blocks, one band GEMM per block,
+// copy-out to NCHW), differing only in the band GEMM; the crossbar
+// conv lowers to row-major patches for its per-tile ADC step. Every
+// parallel kernel splits its rows or images through one band splitter
+// (bandCount, runBands), so a serial call spawns no goroutine. All
+// kernels accumulate each output's terms in a fixed ascending order,
+// so results are bit-identical across worker counts and weight forms.
 //
 // The package exists because MaxNVM's fault-tolerance studies require
 // *measured* classification error under injected memory faults, which in
@@ -81,8 +91,7 @@ func (m *Matrix) Fill(v float32) {
 // MulInto computes dst = a * b. Shapes must agree: a is (M x K), b is
 // (K x N), dst is (M x N). dst must not alias a or b; its prior contents
 // are ignored (each row band clears its own rows, so no serial memset
-// precedes the parallel section). The multiplication is cache-blocked
-// and parallelized across row bands.
+// precedes the parallel section). Parallelized across row bands.
 func MulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MulInto inner dims %d != %d", a.Cols, b.Rows))
@@ -90,47 +99,67 @@ func MulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MulInto dst shape mismatch")
 	}
-	mulParallel(dst.Data, a, b, a.Rows, a.Cols, b.Cols, 0)
+	mulBands(dst.Data, a, a.Rows, a.Cols, b, 0)
 }
 
-// mulParallel runs dst = a*b over the full dst backing slice with the
-// given worker bound (0 = GOMAXPROCS). It is the shared engine behind
-// MulInto and the single-image convolution path, which multiplies
-// straight into an output-tensor image slice instead of a Matrix.
-func mulParallel(dst []float32, a, b *Matrix, m, k, n, workers int) {
+// bandCount is the one band splitter behind every parallel kernel in
+// the package: it returns how many contiguous bands to cut n rows (or
+// images) into for a call of macs multiply-accumulates. workers 0
+// means GOMAXPROCS; the count is clamped to n, and a result of 1 (one
+// worker, or fewer than 64k MACs, where goroutine overhead dominates)
+// tells the caller to run its serial kernel itself, so a serial call
+// spawns nothing and builds no closure.
+func bandCount(n, workers, macs int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > m {
-		workers = m
+	if workers > n {
+		workers = n
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 || macs < 65536 {
+		return 1
 	}
-	// Serial path for small problems: goroutine overhead dominates below
-	// ~64k multiply-accumulates.
-	if m*k*n < 65536 || workers == 1 {
-		mulBand(dst, a, b, 0, m, k, n)
-		return
-	}
+	return workers
+}
+
+// runBands cuts [0, n) into nb contiguous bands and runs body(b, lo,
+// hi) for band b, the last band on the calling goroutine and the rest
+// on their own, and waits for all of them.
+func runBands(n, nb int, body func(b, lo, hi int)) {
+	size := (n + nb - 1) / nb
 	var wg sync.WaitGroup
-	band := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * band
-		hi := lo + band
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
+	for b := 0; b*size < n; b++ {
+		lo, hi := b*size, min((b+1)*size, n)
+		if hi == n {
+			body(b, lo, hi)
 			break
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			mulBand(dst, a, b, lo, hi, k, n)
-		}(lo, hi)
+			body(b, lo, hi)
+		}()
 	}
 	wg.Wait()
+}
+
+// bandOperand is a left GEMM operand in either weight form the
+// batched kernels multiply: dense (*Matrix) or 2:4 compact
+// (*Sparse24).
+type bandOperand interface {
+	// mulBand computes rows [lo, hi) of dst = W * b, dst being the
+	// row-major Rows x b.Cols product.
+	mulBand(dst []float32, b *Matrix, lo, hi int)
+}
+
+// mulBands runs dst = w * b (w is m x k) across row bands; workers as
+// in bandCount.
+func mulBands(dst []float32, w bandOperand, m, k int, b *Matrix, workers int) {
+	if nb := bandCount(m, workers, m*k*b.Cols); nb > 1 {
+		runBands(m, nb, func(_, lo, hi int) { w.mulBand(dst, b, lo, hi) })
+		return
+	}
+	w.mulBand(dst, b, 0, m)
 }
 
 // mulBand computes rows [lo, hi) of dst = a*b using an ikj loop order so
@@ -140,7 +169,8 @@ func mulParallel(dst []float32, a, b *Matrix, m, k, n, workers int) {
 // loop is 4-way unrolled; each dst element still accumulates its terms
 // one at a time in ascending-p order, so results are bit-identical to
 // the scalar kernel (and to the pre-unroll one).
-func mulBand(dst []float32, a, b *Matrix, lo, hi, k, n int) {
+func (a *Matrix) mulBand(dst []float32, b *Matrix, lo, hi int) {
+	k, n := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
 		ar := a.Data[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
@@ -169,54 +199,14 @@ func mulBand(dst []float32, a, b *Matrix, lo, hi, k, n int) {
 	}
 }
 
-// MulABtInto computes dst = a * bᵀ without materializing the transpose:
-// a is (M x K), b is (N x K), dst is (M x N). Both operands are walked
-// row-major (dst[i][j] is the dot product of row i of a and row j of b),
-// so the fully-connected forward pass needs neither a transposed weight
-// copy nor a zero fill. Accumulation order matches mulBand term for
-// term, and the zero terms mulBand skips cannot change a bit (see
-// MulABtBand), so for finite b dst is bit-identical to MulInto(dst, a,
-// Transpose(b)). Parallelized across row bands of a.
-func MulABtInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MulABtInto inner dims %d != %d", a.Cols, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MulABtInto dst shape mismatch")
-	}
-	m, k, n := a.Rows, a.Cols, b.Rows
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if m*k*n < 65536 || workers <= 1 {
-		MulABtBand(dst, a, b, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * band
-		hi := lo + band
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			MulABtBand(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// MulABtBand computes rows [lo, hi) of dst = a * bᵀ serially. It is the
-// building block of MulABtInto, exported so callers that parallelize at
-// a higher level (one inference replica per worker) can run the kernel
-// with zero goroutine spawns and zero allocations.
+// MulABtBand computes rows [lo, hi) of dst = a * bᵀ serially, without
+// materializing the transpose: a is (M x K), b is (N x K), dst is
+// (M x N), and dst[i][j] is the dot product of row i of a and row j of
+// b, so the fully-connected forward pass needs neither a transposed
+// weight copy nor a zero fill. It is the band kernel of Matrix.MulABt,
+// exported so callers that parallelize at a higher level (one inference
+// replica per worker) can run it with zero goroutine spawns and zero
+// allocations.
 //
 // Four rows of a are taken per pass: each row of b is loaded once and
 // feeds four independent accumulator chains. There is no zero-element
@@ -225,7 +215,9 @@ func MulABtInto(dst, a, b *Matrix) {
 // products a skip would drop are ±0, which an accumulator seeded at +0
 // absorbs without changing a bit (it never holds -0: +0 plus any signed
 // zero is +0, and a + (-a) rounds to +0). That needs b finite (0 * Inf
-// is NaN); every weight operand the forward pass runs is.
+// is NaN); every weight operand the forward pass runs is. With that,
+// dst is bit-identical to MulInto(dst, a, Transpose(b)): the same terms
+// in the same ascending-p order as mulBand.
 func MulABtBand(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Rows
 	i := lo
@@ -353,13 +345,4 @@ func (m *Matrix) ArgmaxRow(r int) int {
 		}
 	}
 	return best
-}
-
-// Frobenius returns the Frobenius norm of the matrix.
-func (m *Matrix) Frobenius() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }

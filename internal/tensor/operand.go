@@ -9,8 +9,9 @@ import "fmt"
 // call per layer whatever the weight format.
 type Operand interface {
 	// MulABt computes dst = a * Wᵀ (the fully-connected layer). workers
-	// bounds parallelism: 1 runs the serial band kernel (no goroutines,
-	// no allocation), any other value the row-band parallel kernel.
+	// bounds row-band parallelism as ConvWorkspace.Workers does: 1 runs
+	// the serial band kernel (no goroutines, no allocation), 0 means
+	// GOMAXPROCS.
 	MulABt(dst, a *Matrix, workers int)
 	// ConvInto convolves in into out with W as the (OutC) x
 	// (InC*KH*KW) kernel matrix; ws supplies the scratch and the worker
@@ -20,11 +21,12 @@ type Operand interface {
 
 // MulABt implements Operand with the dense kernels.
 func (m *Matrix) MulABt(dst, a *Matrix, workers int) {
-	if workers == 1 {
-		MulABtBand(dst, a, m, 0, a.Rows)
+	checkMulABt(dst, a, m.Rows, m.Cols)
+	if nb := bandCount(a.Rows, workers, a.Rows*a.Cols*m.Rows); nb > 1 {
+		runBands(a.Rows, nb, func(_, lo, hi int) { MulABtBand(dst, a, m, lo, hi) })
 		return
 	}
-	MulABtInto(dst, a, m)
+	MulABtBand(dst, a, m, 0, a.Rows)
 }
 
 // ConvInto implements Operand with Conv2DInto.
@@ -34,16 +36,19 @@ func (m *Matrix) ConvInto(out, in *Tensor4, bias []float32, cs ConvShape, ws *Co
 
 // MulABt implements Operand with the compute-direct 2:4 kernels.
 func (w *Sparse24) MulABt(dst, a *Matrix, workers int) {
-	if workers == 1 {
-		MulABt24Band(dst, a, w, 0, a.Rows)
+	checkMulABt(dst, a, w.Rows, w.Cols)
+	if nb := bandCount(a.Rows, workers, a.Rows*a.Cols*w.Rows); nb > 1 {
+		runBands(a.Rows, nb, func(_, lo, hi int) { MulABt24Band(dst, a, w, lo, hi) })
 		return
 	}
-	MulABt24Into(dst, a, w)
+	MulABt24Band(dst, a, w, 0, a.Rows)
 }
 
-// ConvInto implements Operand with Conv2D24Into.
+// ConvInto implements Operand with the shared conv driver and the 2:4
+// band GEMM.
 func (w *Sparse24) ConvInto(out, in *Tensor4, bias []float32, cs ConvShape, ws *ConvWorkspace) {
-	Conv2D24Into(out, in, w, bias, cs, ws)
+	checkConv(out, in, w.Rows, w.Cols, cs)
+	conv2D(out, in, w, bias, cs, ws)
 }
 
 // MulABt implements Operand with the crossbar kernel. It ignores
@@ -72,5 +77,15 @@ func checkConv(out, in *Tensor4, rows, cols int, cs ConvShape) {
 	}
 	if out.N != in.N || out.C != cs.OutC || out.H != cs.OutH() || out.W != cs.OutW() {
 		panic("tensor: conv output shape mismatch")
+	}
+}
+
+// checkMulABt panics unless dst = a * Wᵀ fits a rows x cols W.
+func checkMulABt(dst, a *Matrix, rows, cols int) {
+	if a.Cols != cols {
+		panic(fmt.Sprintf("tensor: MulABt inner dims %d != %d", a.Cols, cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != rows {
+		panic("tensor: MulABt dst shape mismatch")
 	}
 }

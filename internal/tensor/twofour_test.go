@@ -2,7 +2,7 @@ package tensor
 
 // Compute-direct 2:4 kernel tests: bit parity against the dense kernels
 // on the densified twin of the same compact form, across the serial
-// band, the parallel drivers, and the conv lowering.
+// band, the row-band split, and the shared conv driver.
 
 import "testing"
 
@@ -75,49 +75,24 @@ func TestMulABt24MatchesDense(t *testing.T) {
 			}
 		}
 
-		got.Fill(-1)
-		MulABt24Into(got, a, w24)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%dx%d: parallel differs at %d", m, k, n, i)
+		for _, workers := range []int{0, 2, 7} {
+			got.Fill(-1)
+			w24.MulABt(got, a, workers)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%dx%dx%d workers=%d: parallel differs at %d", m, k, n, workers, i)
+				}
 			}
 		}
 	}
 }
 
 func TestConv2D24MatchesDense(t *testing.T) {
-	// Stride 1 exercises the 4-wide row sweep (with pad clipping), the
-	// strided shapes the scalar fallback; pad 0 and 2 cover both window
-	// edge cases.
-	shapes := []ConvShape{
-		{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 9, InW: 9},
-		{InC: 2, OutC: 5, KH: 5, KW: 5, Pad: 0, Stride: 1, InH: 11, InW: 11},
-		{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 2, Stride: 2, InH: 9, InW: 9},
-	}
-	for _, cs := range shapes {
-		in := NewTensor4(6, cs.InC, cs.InH, cs.InW)
-		fillPattern(in.Data, 11, 9, 0)
-		w24, dense := random24(cs.OutC, cs.InC*cs.KH*cs.KW, 5)
-		bias := []float32{0.5, -1, 0, 2, -0.25}
-		want := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-		{
-			ws := ConvWorkspace{Workers: 1}
-			Conv2DInto(want, in, dense, bias, cs, &ws)
-		}
-		for _, workers := range []int{0, 1, 2, 5, 16} {
-			out := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-			for i := range out.Data {
-				out.Data[i] = 77 // dirty: the kernel must fully overwrite
-			}
-			ws := ConvWorkspace{Workers: workers}
-			Conv2D24Into(out, in, w24, bias, cs, &ws)
-			for i := range want.Data {
-				if out.Data[i] != want.Data[i] {
-					t.Fatalf("%+v workers=%d: differs at %d: %v vs %v", cs, workers, i, out.Data[i], want.Data[i])
-				}
-			}
-		}
-	}
+	// The shared driver with the 2:4 band GEMM against the naive
+	// reference on the densified twin.
+	convGrid(t, func(rows, cols int, seed uint64) (Operand, *Matrix) {
+		return random24(rows, cols, seed)
+	})
 }
 
 func TestSparse24ShapePanics(t *testing.T) {
@@ -131,17 +106,17 @@ func TestSparse24ShapePanics(t *testing.T) {
 	}
 	a := NewMatrix(2, 8)
 	w := NewSparse24(3, 9) // cols mismatch vs a
-	expectPanic("MulABt24Into inner dim", func() {
-		MulABt24Into(NewMatrix(2, 3), a, w)
+	expectPanic("MulABt inner dim", func() {
+		w.MulABt(NewMatrix(2, 3), a, 0)
 	})
 	w8 := NewSparse24(3, 8)
-	expectPanic("MulABt24Into dst shape", func() {
-		MulABt24Into(NewMatrix(2, 4), a, w8)
+	expectPanic("MulABt dst shape", func() {
+		w8.MulABt(NewMatrix(2, 4), a, 1)
 	})
 	cs := ConvShape{InC: 2, OutC: 4, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 8, InW: 8}
-	expectPanic("Conv2D24Into weight shape", func() {
-		Conv2D24Into(NewTensor4(1, 4, 8, 8), NewTensor4(1, 2, 8, 8),
-			NewSparse24(4, 7), nil, cs, &ConvWorkspace{Workers: 1})
+	expectPanic("ConvInto weight shape", func() {
+		NewSparse24(4, 7).ConvInto(NewTensor4(1, 4, 8, 8), NewTensor4(1, 2, 8, 8),
+			nil, cs, &ConvWorkspace{Workers: 1})
 	})
 	expectPanic("NewSparse24 negative", func() { NewSparse24(-1, 4) })
 }
