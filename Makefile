@@ -6,6 +6,9 @@
 #   make test-repeat - the kernel, forward-pass and evaluator tests run
 #                  twice in one process, so a test that leans on a cold
 #                  shared cache fails
+#   make cross-vet - build everything and vet internal/tensor for arm64,
+#                  so the portable Go twin of the amd64 assembly kernel
+#                  always compiles
 #   make alloc-free - the allocation-free forward-pass proofs (dense,
 #                  2:4 and crossbar operands), which live in benchmarks
 #                  and so never run under `go test ./...`
@@ -18,7 +21,8 @@
 #                  seed-pinned SIGKILL/SIGSTOP schedule plus a poison
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short fuzz pass over the sparse decode and
-#                  checkpoint-loader targets
+#                  checkpoint-loader targets, and the assembly axpy
+#                  against its Go twin
 #   make bench   - full benchmark harness (regenerates every figure)
 #   make bench-inference - tracked inference/campaign throughput baseline,
 #                  written to BENCH_inference.json. To compare two
@@ -37,11 +41,11 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/dnn internal/core
 
-.PHONY: all check build test test-repeat alloc-free race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
+.PHONY: all check build test test-repeat cross-vet alloc-free race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
 all: check race
 
-check: build test test-repeat vet alloc-free race-fast serve-smoke chaos
+check: build test test-repeat vet cross-vet alloc-free race-fast serve-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -64,6 +68,13 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+
+# internal/tensor's axpy is SSE2 assembly on amd64 and a Go twin
+# everywhere else; a build for another architecture is what proves the
+# twin (and every file without the assembly) still compiles and vets.
+cross-vet:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/...
 
 # The ForwardAllocFree* benchmarks assert that a warmed-up Forwarder's
 # pass, from every start layer, allocates nothing; one iteration each
@@ -134,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLease -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzParseHeartbeat -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzCrossbarConfig -fuzztime=$(FUZZTIME) ./internal/crossbar/
+	$(GO) test -fuzz=FuzzAxpy -fuzztime=$(FUZZTIME) ./internal/tensor/
 
 bench:
 	$(GO) test -bench=. -benchmem .

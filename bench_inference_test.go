@@ -263,7 +263,8 @@ func BenchmarkForwardAllocFree24(b *testing.B) {
 // with every weight layer routed through the crossbar kernels: each
 // layer overlaid with its pristine mapping (64x32 tiles, 8-bit ADC).
 // Same acceptance criterion: 0 allocs/op, from every start — the conv
-// lowering's padded-image and patch scratch grow once, then are reused.
+// driver's patch and GEMM scratch grow once, then are reused, and the
+// crossbar GEMM's partial row lives on the stack.
 func BenchmarkForwardAllocFreeXbar(b *testing.B) {
 	ds := train.Synthesize(train.SynthConfig{N: 100, Seed: 1})
 	m := dnn.TinyCNN()

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Tensor4 is a dense NCHW float32 tensor (batch, channels, height, width).
 type Tensor4 struct {
@@ -127,15 +131,12 @@ func im2colBatch(dst *Matrix, in *Tensor4, cs ConvShape, lo, hi int) {
 }
 
 // ConvScratch holds the scratch buffers of one convolution worker: the
-// patch matrix (a batched im2col block, or row-major patches on the
-// crossbar path), the GEMM output that is copied out to NCHW, and the
-// zero-padded image copy the crossbar lowering reads. All grow to the
-// largest layer seen and are reused across calls; a scratch must never
-// be shared between concurrent workers.
+// batched im2col patch block and the GEMM output that is copied out to
+// NCHW. Both grow to the largest layer seen and are reused across
+// calls; a scratch must never be shared between concurrent workers.
 type ConvScratch struct {
 	patches Matrix
 	gemm    Matrix
-	padded  []float32
 }
 
 // ConvWorkspace provides the per-worker scratch buffers Conv2DInto needs
@@ -159,62 +160,71 @@ func (ws *ConvWorkspace) scratchFor(w int) *ConvScratch {
 	return ws.scratch[w]
 }
 
+// convWorkspaces recycles the workspaces of one-shot Conv2D calls (the
+// trainer runs one per conv layer per batch), so their patch blocks
+// and GEMM buffers are not rebuilt on every call.
+var convWorkspaces = sync.Pool{New: func() any { return new(ConvWorkspace) }}
+
 // Conv2D performs a batched convolution: weights is (OutC) x (InC*KH*KW),
 // bias has OutC entries (may be nil). Returns an (N, OutC, OutH, OutW)
-// tensor.
+// tensor. The scratch comes from a pool of default-Workers workspaces.
 func Conv2D(in *Tensor4, weights *Matrix, bias []float32, cs ConvShape) *Tensor4 {
 	out := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-	var ws ConvWorkspace
-	Conv2DInto(out, in, weights, bias, cs, &ws)
+	ws := convWorkspaces.Get().(*ConvWorkspace)
+	Conv2DInto(out, in, weights, bias, cs, ws)
+	convWorkspaces.Put(ws)
 	return out
 }
 
 // Conv2DInto is Conv2D into a caller-owned output tensor with a
 // reusable workspace; a reused workspace allocates nothing in steady
-// state. It runs conv2D, the driver 2:4 weights share.
+// state. It runs conv2D, the driver 2:4 and crossbar weights share.
 func Conv2DInto(out *Tensor4, in *Tensor4, weights *Matrix, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	checkConv(out, in, weights.Rows, weights.Cols, cs)
 	conv2D(out, in, weights, bias, cs, ws)
 }
 
-// conv2D is the one convolution driver for dense and 2:4 weights; only
-// the band GEMM (w.mulBand) differs between them. The batch is cut into
-// image bands across ws.Workers, each convolved by convBand with a
-// private ConvScratch, so no scratch state is shared between
-// goroutines. When the batch runs as one band (one image, one worker,
-// or a small layer), the worker bound applies inside the GEMM instead
-// as row bands. Each output element accumulates the same terms in the
-// same ascending order for every worker count and block width, so the
-// bits never depend on either.
-func conv2D(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, ws *ConvWorkspace) {
+// conv2D is the one convolution driver for dense, 2:4 and crossbar
+// weights; only the band GEMM (w.mulBand) differs between them. It
+// returns the ADC clips the GEMM counted (0 for the digital forms).
+// The batch is cut into image bands across ws.Workers, each convolved
+// by convBand with a private ConvScratch, so no scratch state is
+// shared between goroutines. When the batch runs as one band (one
+// image, one worker, or a small layer), the worker bound applies
+// inside the GEMM instead as row bands. Each output element
+// accumulates the same terms in the same ascending order for every
+// worker count and block width, so the bits never depend on either.
+func conv2D(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, ws *ConvWorkspace) int64 {
 	macs := in.N * cs.OutC * cs.InC * cs.KH * cs.KW * cs.OutH() * cs.OutW()
 	if nb := bandCount(in.N, ws.Workers, macs); nb > 1 {
 		ws.scratchFor(nb - 1) // grown here: the bands only read the pool
 		pool := ws.scratch
+		var clips atomic.Int64
 		runBands(in.N, nb, func(b, lo, hi int) {
-			convBand(out, in, w, bias, cs, pool[b], 1, lo, hi)
+			clips.Add(convBand(out, in, w, bias, cs, pool[b], 1, lo, hi))
 		})
-		return
+		return clips.Load()
 	}
-	convBand(out, in, w, bias, cs, ws.scratchFor(0), ws.Workers, 0, in.N)
+	return convBand(out, in, w, bias, cs, ws.scratchFor(0), ws.Workers, 0, in.N)
 }
 
 // convBand convolves images [lo, hi) with one private scratch, in
 // image blocks sized to keep the patch matrix cache-resident: per block,
 // one batched im2col, one GEMM (row bands bounded by gemmWorkers), then
 // a fused bias-add/copy-out from the channel-major GEMM layout to NCHW.
-// The block bound balances two costs: per-image GEMMs on tiny output
-// planes pay the per-weight-row setup once per image, while one
-// whole-batch patch matrix spills L2 and turns every AXPY into a memory
-// stream.
-func convBand(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, sc *ConvScratch, gemmWorkers, lo, hi int) {
+// It returns the GEMM's clip count. The block bound balances two costs:
+// per-image GEMMs on tiny output planes pay the per-weight-row setup
+// once per image, while one whole-batch patch matrix spills L2 and
+// turns every axpy into a memory stream.
+func convBand(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, sc *ConvScratch, gemmWorkers, lo, hi int) int64 {
 	k, ohw := cs.InC*cs.KH*cs.KW, cs.OutH()*cs.OutW()
 	block := convBlockImages(cs)
+	var clips int64
 	for b0 := lo; b0 < hi; b0 += block {
 		b1 := min(b0+block, hi)
 		im2colBatch(&sc.patches, in, cs, b0, b1)
 		sc.gemm.Reshape(cs.OutC, (b1-b0)*ohw)
-		mulBands(sc.gemm.Data, w, cs.OutC, k, &sc.patches, gemmWorkers)
+		clips += mulBands(sc.gemm.Data, w, cs.OutC, k, &sc.patches, gemmWorkers)
 		for c := 0; c < cs.OutC; c++ {
 			row := sc.gemm.Row(c)
 			for i := b0; i < b1; i++ {
@@ -224,7 +234,7 @@ func convBand(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, sc 
 					copy(plane, seg)
 					continue
 				}
-				// Same per-element op as addConvBias on a finished image.
+				// One add per element, as on a finished output plane.
 				b := bias[c]
 				for j := range seg {
 					plane[j] = seg[j] + b
@@ -232,6 +242,7 @@ func convBand(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, sc 
 			}
 		}
 	}
+	return clips
 }
 
 // convBlockImages is the number of images convBand lowers per block: as
@@ -239,21 +250,6 @@ func convBand(out, in *Tensor4, w bandOperand, bias []float32, cs ConvShape, sc 
 func convBlockImages(cs ConvShape) int {
 	const patchBudget = 256 << 10
 	return max(1, patchBudget/(4*cs.InC*cs.KH*cs.KW*cs.OutH()*cs.OutW()))
-}
-
-// addConvBias adds the per-output-channel bias to one image.
-func addConvBias(dst []float32, bias []float32, cs ConvShape) {
-	if bias == nil {
-		return
-	}
-	ohw := cs.OutH() * cs.OutW()
-	for c := 0; c < cs.OutC; c++ {
-		b := bias[c]
-		plane := dst[c*ohw : (c+1)*ohw]
-		for i := range plane {
-			plane[i] += b
-		}
-	}
 }
 
 // MaxPool2D applies non-overlapping k x k max pooling with stride k.

@@ -130,6 +130,21 @@ func refConv2DXbarInto(out, in *Tensor4, x *Xbar, bias []float32, cs ConvShape) 
 	return clips
 }
 
+// addConvBias adds the per-output-channel bias to one image.
+func addConvBias(dst []float32, bias []float32, cs ConvShape) {
+	if bias == nil {
+		return
+	}
+	ohw := cs.OutH() * cs.OutW()
+	for c := 0; c < cs.OutC; c++ {
+		b := bias[c]
+		plane := dst[c*ohw : (c+1)*ohw]
+		for i := range plane {
+			plane[i] += b
+		}
+	}
+}
+
 // gridRand fills n values in [-1, 1) with exact zeros and negative
 // zeros mixed in, the signed zeros the dropped skips used to filter.
 func gridRand(n int, seed uint64) []float32 {
@@ -201,11 +216,12 @@ func TestMulABtBandMatchesReference(t *testing.T) {
 }
 
 // TestXbarKernelsMatchReference is the crossbar bit-identity grid: the
-// register-blocked FC kernel and the row-major conv lowering against
-// the scalar reference, outputs and clip counts (on the handle and on
-// the pluggable counter) alike.
+// register-blocked FC kernel and the crossbar band GEMM under the
+// shared conv driver against the scalar reference, outputs and clip
+// counts (on the handle and on the pluggable counter) alike.
 func TestXbarKernelsMatchReference(t *testing.T) {
 	var totalClips int64
+	split := false
 	check := func(name string, x *Xbar, ext *atomic.Int64, wantClips int64, got, want []float32) {
 		t.Helper()
 		if i := sameBits(got, want); i >= 0 {
@@ -239,33 +255,64 @@ func TestXbarKernelsMatchReference(t *testing.T) {
 			}
 		}
 		// Conv: stride 1 and 2, pad 0 and 1, non-square inputs and
-		// kernels, a batch of two with and without bias.
+		// kernels, a batch of two with and without bias, and on one
+		// shape a batch the patch budget splits into several blocks;
+		// every case runs at workspace Workers 0, 1 and 2, each with a
+		// fresh handle, so the clip totals are exact per call.
 		for _, stride := range []int{1, 2} {
 			for _, pad := range []int{0, 1} {
 				for _, kern := range [][2]int{{3, 3}, {3, 2}} {
 					cs := ConvShape{InC: 3, OutC: 5, KH: kern[0], KW: kern[1], Pad: pad, Stride: stride, InH: 7, InW: 5}
 					k := cs.InC * cs.KH * cs.KW
-					for _, tile := range []int{1, 4, k, k + 5} {
-						in := &Tensor4{N: 2, C: cs.InC, H: cs.InH, W: cs.InW, Data: gridRand(2*cs.InC*cs.InH*cs.InW, uint64(stride*10+pad))}
-						w := FromSlice(cs.OutC, k, gridRand(cs.OutC*k, uint64(k+tile)))
-						for bi, bias := range [][]float32{nil, {0.25, -0.5, 0, 1, -0.125}} {
-							x := gridXbar(w, tile, bits, uint64(tile*3+bits+bi))
-							var ext atomic.Int64
-							x.ClipCounter = counterFunc{&ext}
-							want := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-							got := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-							got.Data[0] = 42 // the kernel must overwrite every element
-							wantClips := refConv2DXbarInto(want, in, x, bias, cs)
-							Conv2DXbarInto(got, in, x, bias, cs, &ConvWorkspace{})
-							check(fmt.Sprintf("conv bits=%d stride=%d pad=%d kernel=%v tile=%d bias=%v", bits, stride, pad, kern, tile, bias != nil),
-								x, &ext, wantClips, got.Data, want.Data)
+					ns := []int{2}
+					if stride == 1 && pad == 1 && kern[1] == 3 {
+						ns = append(ns, 2*convBlockImages(cs)+3)
+					}
+					for _, n := range ns {
+						split = split || n > convBlockImages(cs)
+						for _, tile := range []int{1, 4, k, k + 5} {
+							in := &Tensor4{N: n, C: cs.InC, H: cs.InH, W: cs.InW, Data: gridRand(n*cs.InC*cs.InH*cs.InW, uint64(stride*10+pad+n))}
+							w := FromSlice(cs.OutC, k, gridRand(cs.OutC*k, uint64(k+tile)))
+							for bi, bias := range [][]float32{nil, {0.25, -0.5, 0, 1, -0.125}} {
+								want := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
+								wantClips := refConv2DXbarInto(want, in, gridXbar(w, tile, bits, uint64(tile*3+bits+bi)), bias, cs)
+								for _, workers := range []int{0, 1, 2} {
+									x := gridXbar(w, tile, bits, uint64(tile*3+bits+bi))
+									var ext atomic.Int64
+									x.ClipCounter = counterFunc{&ext}
+									got := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
+									got.Data[0] = 42 // the kernel must overwrite every element
+									Conv2DXbarInto(got, in, x, bias, cs, &ConvWorkspace{Workers: workers})
+									check(fmt.Sprintf("conv bits=%d stride=%d pad=%d kernel=%v N=%d tile=%d bias=%v workers=%d", bits, stride, pad, kern, n, tile, bias != nil, workers),
+										x, &ext, wantClips, got.Data, want.Data)
+								}
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+	// One image large enough (over 64k MACs) that Workers 0 and 2 cut
+	// the crossbar GEMM itself into row bands.
+	cs := ConvShape{InC: 3, OutC: 16, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 24, InW: 24}
+	k := cs.InC * cs.KH * cs.KW
+	in := &Tensor4{N: 1, C: cs.InC, H: cs.InH, W: cs.InW, Data: gridRand(cs.InC*cs.InH*cs.InW, 5)}
+	w := FromSlice(cs.OutC, k, gridRand(cs.OutC*k, 6))
+	want := NewTensor4(1, cs.OutC, cs.OutH(), cs.OutW())
+	wantClips := refConv2DXbarInto(want, in, gridXbar(w, 10, 3, 7), nil, cs)
+	for _, workers := range []int{0, 1, 2} {
+		x := gridXbar(w, 10, 3, 7)
+		var ext atomic.Int64
+		x.ClipCounter = counterFunc{&ext}
+		got := NewTensor4(1, cs.OutC, cs.OutH(), cs.OutW())
+		Conv2DXbarInto(got, in, x, nil, cs, &ConvWorkspace{Workers: workers})
+		check(fmt.Sprintf("conv one image %+v workers=%d", cs, workers), x, &ext, wantClips, got.Data, want.Data)
+	}
 	if totalClips == 0 {
 		t.Fatal("no column clipped anywhere in the grid; the clip path is untested")
+	}
+	if !split {
+		t.Fatal("no conv batch spans several patch blocks; the block loop is untested")
 	}
 }

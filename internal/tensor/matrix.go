@@ -1,18 +1,21 @@
 // Package tensor implements the minimal dense linear-algebra substrate
-// needed to run real DNN inference and training in pure Go: float32
+// needed to run real DNN inference and training in Go: float32
 // matrices and 4-D tensors, matrix multiplication, convolution,
-// pooling, and the activation functions used by the model zoo.
+// pooling, and the activation functions used by the model zoo. It is
+// pure Go, no cgo; one SSE2 kernel (axpy, in axpy_amd64.s) has a
+// portable Go twin that other architectures and -race builds run.
 //
 // Layer weights come in three forms behind one Operand interface:
 // dense (*Matrix), compute-direct 2:4 (*Sparse24) and crossbar
-// compute-in-memory (*Xbar). Dense and 2:4 convolution share one
-// driver (conv2D: batched im2col blocks, one band GEMM per block,
-// copy-out to NCHW), differing only in the band GEMM; the crossbar
-// conv lowers to row-major patches for its per-tile ADC step. Every
-// parallel kernel splits its rows or images through one band splitter
-// (bandCount, runBands), so a serial call spawns no goroutine. All
-// kernels accumulate each output's terms in a fixed ascending order,
-// so results are bit-identical across worker counts and weight forms.
+// compute-in-memory (*Xbar). All three convolve through one driver
+// (conv2D: batched im2col blocks, one band GEMM per block, copy-out to
+// NCHW), differing only in the band GEMM, and every band GEMM (and
+// MulInto) runs its inner loop through axpy. Every parallel kernel
+// splits its rows or images through one band splitter (bandCount,
+// runBands), so a serial call spawns no goroutine. All kernels
+// accumulate each output's terms in a fixed ascending order, each
+// multiply and add rounded separately, so results are bit-identical
+// across worker counts, weight forms and the assembly and Go axpy.
 //
 // The package exists because MaxNVM's fault-tolerance studies require
 // *measured* classification error under injected memory faults, which in
@@ -24,6 +27,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -143,60 +147,46 @@ func runBands(n, nb int, body func(b, lo, hi int)) {
 	wg.Wait()
 }
 
-// bandOperand is a left GEMM operand in either weight form the
-// batched kernels multiply: dense (*Matrix) or 2:4 compact
-// (*Sparse24).
+// bandOperand is a left GEMM operand in any weight form the batched
+// kernels multiply: dense (*Matrix), 2:4 compact (*Sparse24) or
+// crossbar (*Xbar).
 type bandOperand interface {
 	// mulBand computes rows [lo, hi) of dst = W * b, dst being the
-	// row-major Rows x b.Cols product.
-	mulBand(dst []float32, b *Matrix, lo, hi int)
+	// row-major Rows x b.Cols product, and returns the ADC clips it
+	// counted (always 0 for the digital forms).
+	mulBand(dst []float32, b *Matrix, lo, hi int) int64
 }
 
-// mulBands runs dst = w * b (w is m x k) across row bands; workers as
-// in bandCount.
-func mulBands(dst []float32, w bandOperand, m, k int, b *Matrix, workers int) {
+// mulBands runs dst = w * b (w is m x k) across row bands and returns
+// the bands' clip total; workers as in bandCount.
+func mulBands(dst []float32, w bandOperand, m, k int, b *Matrix, workers int) int64 {
 	if nb := bandCount(m, workers, m*k*b.Cols); nb > 1 {
-		runBands(m, nb, func(_, lo, hi int) { w.mulBand(dst, b, lo, hi) })
-		return
+		var clips atomic.Int64
+		runBands(m, nb, func(_, lo, hi int) { clips.Add(w.mulBand(dst, b, lo, hi)) })
+		return clips.Load()
 	}
-	w.mulBand(dst, b, 0, m)
+	return w.mulBand(dst, b, 0, m)
 }
 
-// mulBand computes rows [lo, hi) of dst = a*b using an ikj loop order so
-// the inner loop streams through contiguous rows of b and dst. Each band
-// clears its own rows before accumulating, so large GEMMs never pay a
-// single-threaded zero fill ahead of the parallel section. The inner
-// loop is 4-way unrolled; each dst element still accumulates its terms
-// one at a time in ascending-p order, so results are bit-identical to
-// the scalar kernel (and to the pre-unroll one).
-func (a *Matrix) mulBand(dst []float32, b *Matrix, lo, hi int) {
+// mulBand computes rows [lo, hi) of dst = a*b in ikj order: each row of
+// dst is cleared, then takes one axpy per nonzero weight, streaming the
+// matching row of b. Each band clears its own rows, so large GEMMs
+// never pay a single-threaded zero fill ahead of the parallel section.
+// Each dst element accumulates its terms one at a time in ascending-p
+// order, a multiply and an add rounded separately, so the result is
+// bit-identical to the scalar loop.
+func (a *Matrix) mulBand(dst []float32, b *Matrix, lo, hi int) int64 {
 	k, n := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
-		for j := range dr {
-			dr[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := ar[p]
-			if av == 0 {
-				continue // pruned weights are common; skip zero rows cheaply
-			}
-			br := b.Data[p*n : (p+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				d := dr[j : j+4 : j+4]
-				s := br[j : j+4 : j+4]
-				d[0] += av * s[0]
-				d[1] += av * s[1]
-				d[2] += av * s[2]
-				d[3] += av * s[3]
-			}
-			for ; j < n; j++ {
-				dr[j] += av * br[j]
+		clear(dr)
+		for p, av := range a.Data[i*k : (i+1)*k] {
+			if av != 0 { // pruned weights are common; skip zero rows cheaply
+				axpy(dr, b.Data[p*n:(p+1)*n], av)
 			}
 		}
 	}
+	return 0
 }
 
 // MulABtBand computes rows [lo, hi) of dst = a * bᵀ serially, without

@@ -51,14 +51,15 @@ func (w *Sparse24) ConvInto(out, in *Tensor4, bias []float32, cs ConvShape, ws *
 	conv2D(out, in, w, bias, cs, ws)
 }
 
-// MulABt implements Operand with the crossbar kernel. It ignores
-// workers: the crossbar kernels are serial, and the route parallelizes
-// at trial level instead.
+// MulABt implements Operand with the crossbar FC kernel. It ignores
+// workers: that kernel is serial, and the route parallelizes at trial
+// level instead.
 func (x *Xbar) MulABt(dst, a *Matrix, _ int) {
 	MulABtXbarBand(dst, a, x, 0, a.Rows)
 }
 
-// ConvInto implements Operand with Conv2DXbarInto.
+// ConvInto implements Operand with Conv2DXbarInto, the shared conv
+// driver with the crossbar band GEMM.
 func (x *Xbar) ConvInto(out, in *Tensor4, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	Conv2DXbarInto(out, in, x, bias, cs, ws)
 }

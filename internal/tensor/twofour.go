@@ -62,39 +62,25 @@ func NewSparse24(rows, cols int) *Sparse24 {
 // decoded matrix (unstored and zero-valued positions contribute nothing
 // there because it skips zero weights), so dst is bit-identical to the
 // dense kernel on the decoded matrix — with at most half the MACs.
-func (w *Sparse24) mulBand(dst []float32, b *Matrix, lo, hi int) {
+func (w *Sparse24) mulBand(dst []float32, b *Matrix, lo, hi int) int64 {
 	n, gpr := b.Cols, w.GroupsPerRow
 	ne := 2 * gpr
 	for i := lo; i < hi; i++ {
 		dr := dst[i*n : (i+1)*n]
-		for j := range dr {
-			dr[j] = 0
-		}
+		clear(dr)
 		wr := w.Val[i*ne : (i+1)*ne : (i+1)*ne]
 		pr := w.Pos[i*ne : (i+1)*ne : (i+1)*ne]
 		col := 0
-		for e := 0; e < len(wr); e++ {
-			wv := wr[e]
+		for e, wv := range wr {
 			if wv != 0 { // pads (and zero centroids) contribute nothing
 				p := col + int(pr[e])
-				br := b.Data[p*n : (p+1)*n]
-				j := 0
-				for ; j+4 <= n; j += 4 {
-					d := dr[j : j+4 : j+4]
-					sr := br[j : j+4 : j+4]
-					d[0] += wv * sr[0]
-					d[1] += wv * sr[1]
-					d[2] += wv * sr[2]
-					d[3] += wv * sr[3]
-				}
-				for ; j < n; j++ {
-					dr[j] += wv * br[j]
-				}
+				axpy(dr, b.Data[p*n:(p+1)*n], wv)
 			}
 			col += 4 * (e & 1)
 		}
 	}
 	count24(hi-lo, n, w.Cols, gpr)
+	return 0
 }
 
 // count24 publishes the group/skipped-MAC telemetry for a kernel call

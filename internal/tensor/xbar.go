@@ -68,7 +68,7 @@ func (x *Xbar) addClips(n int64) {
 	}
 }
 
-// xbarBand is the one crossbar kernel: rows [lo, hi) of dst = a * Weffᵀ
+// xbarBand is the crossbar FC kernel: rows [lo, hi) of dst = a * Weffᵀ
 // (a is M x K row-major, dst M x Out) with a per-row-tile ADC
 // conversion between accumulation windows. It returns the clip count.
 //
@@ -166,82 +166,74 @@ func MulABtXbarBand(dst, a *Matrix, x *Xbar, lo, hi int) {
 }
 
 // Conv2DXbarInto is Conv2DInto with the layer routed through the
-// crossbar kernel. Each image is lowered to a row-major patch matrix,
-// (OutH*OutW) x (InC*KH*KW), one patch per output position laid out
-// like a weight row, so the convolution is xbarBand with the output
-// positions as rows; the result is copied out to NCHW and the bias
-// added. Each output sums the same products in the same order as the
-// im2col formulation, so the bits match it. The batch runs serially
-// with worker 0's scratch whatever ws.Workers says — the crossbar
-// route parallelizes at trial level, one replica per worker.
+// crossbar: the shared conv driver with Xbar.mulBand as its band GEMM.
+// Each output sums the same quantized partials in the same order as
+// the im2col formulation, for every ws.Workers value, and the call's
+// clips are published once at the end.
 func Conv2DXbarInto(out *Tensor4, in *Tensor4, x *Xbar, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	x.check()
 	checkConv(out, in, x.W.Rows, x.W.Cols, cs)
-	sc := ws.scratchFor(0)
-	ohw := cs.OutH() * cs.OutW()
-	sc.gemm.Reshape(ohw, cs.OutC)
-	var clips int64
-	for n := 0; n < in.N; n++ {
-		sc.lowerRows(in, n, cs)
-		clips += xbarBand(&sc.gemm, &sc.patches, x, 0, ohw)
-		img := out.Image(n)
-		for c := 0; c < cs.OutC; c++ {
-			plane := img[c*ohw : (c+1)*ohw]
-			for pos := range plane {
-				plane[pos] = sc.gemm.Data[pos*cs.OutC+c]
-			}
-		}
-		addConvBias(img, bias, cs)
-	}
-	x.addClips(clips)
+	x.addClips(conv2D(out, in, x, bias, cs, ws))
 }
 
-// lowerRows lowers image n of in into sc.patches as a row-major patch
-// matrix: row oy*OutW+ox holds the receptive field of output (oy, ox)
-// in (c, kh, kw) order, the column order of the conv weight matrix.
-// With Pad > 0 the image is first copied into a zero-padded plane, so
-// every (c, kh) segment of a patch is one contiguous run of KW values.
-func (sc *ConvScratch) lowerRows(in *Tensor4, n int, cs ConvShape) {
-	oh, ow := cs.OutH(), cs.OutW()
-	k := cs.InC * cs.KH * cs.KW
-	sc.patches.Reshape(oh*ow, k)
-	src, h, w := in.Image(n), cs.InH, cs.InW
-	if p := cs.Pad; p > 0 {
-		h, w = cs.InH+2*p, cs.InW+2*p
-		if need := cs.InC * h * w; cap(sc.padded) < need {
-			sc.padded = make([]float32, need)
-		} else {
-			sc.padded = sc.padded[:need]
-		}
-		clear(sc.padded)
-		for c := 0; c < cs.InC; c++ {
-			for y := 0; y < cs.InH; y++ {
-				row := src[(c*cs.InH+y)*cs.InW : (c*cs.InH+y+1)*cs.InW]
-				copy(sc.padded[(c*h+y+p)*w+p:], row)
-			}
-		}
-		src = sc.padded
-	}
-	kw, plane := cs.KW, h*w
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := sc.patches.Data[(oy*ow+ox)*k : (oy*ow+ox+1)*k]
-			corner := oy*cs.Stride*w + ox*cs.Stride
-			o := 0
-			for c := 0; c < cs.InC; c++ {
-				off := c*plane + corner
-				for kh := 0; kh < cs.KH; kh++ {
-					// An element loop, not the copy builtin: at the
-					// zoo's kernel widths (3 to 7) a memmove call costs
-					// more than the copy itself.
-					seg, from := row[o:o+kw], src[off:off+kw]
-					for i := range seg {
-						seg[i] = from[i]
+// xbarChunk is the number of output columns Xbar.mulBand accumulates
+// per pass: the analog partial row is a stack array of that width
+// (2 KB), private to the goroutine running the band and cache-resident
+// while the tile's patch rows stream past it.
+const xbarChunk = 512
+
+// mulBand computes rows [lo, hi) of dst = Weff * b (b is the K x N
+// im2col patch block) through the crossbar dataflow, the crossbar band
+// GEMM of the shared conv driver, and returns its clip count. For each
+// output row and each column chunk it walks the row tiles in order: the
+// partial row is cleared, takes one axpy per nonzero weight of the
+// tile in ascending p (the dense kernel's zero skip), then each partial
+// is quantized as xbarBand quantizes (division, math.Round, clamp; fs
+// <= 0 passes through) and added into the output row. The quantizer is
+// written out in both kernels: as a function call it does not inline,
+// and the call made the crossbar forward pass about 1.6x slower. This is the
+// column-major form of the conv reference, term for term, so the bits
+// match it.
+func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) int64 {
+	k, n, out, tr := x.W.Cols, b.Cols, x.W.Rows, x.TileRows
+	half := float64(int64(1) << uint(x.ADCBits-1))
+	var part [xbarChunk]float32
+	var clips int64
+	for i := lo; i < hi; i++ {
+		wr := x.W.Data[i*k : (i+1)*k]
+		dr := dst[i*n : (i+1)*n]
+		clear(dr)
+		for c0 := 0; c0 < n; c0 += xbarChunk {
+			c1 := min(c0+xbarChunk, n)
+			d, pt := dr[c0:c1], part[:c1-c0]
+			for p0, rt := 0, 0; p0 < k; p0, rt = p0+tr, rt+1 {
+				clear(pt)
+				for p := p0; p < min(p0+tr, k); p++ {
+					if wv := wr[p]; wv != 0 {
+						axpy(pt, b.Data[p*n+c0:p*n+c1], wv)
 					}
-					o += kw
-					off += w
+				}
+				fs := x.FS[rt*out+i]
+				if fs <= 0 {
+					for j, v := range pt {
+						d[j] += v
+					}
+					continue
+				}
+				step := float64(fs) / half
+				for j, v := range pt {
+					q := math.Round(float64(v) / step)
+					if q > half-1 {
+						q = half - 1
+						clips++
+					} else if q < -half {
+						q = -half
+						clips++
+					}
+					d[j] += float32(q * step)
 				}
 			}
 		}
 	}
+	return clips
 }
